@@ -27,7 +27,6 @@ guarantee.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +94,9 @@ def tau_grid(tau_min: float, tau_max: float, count: int, scale: str = "log") -> 
     if count < 1:
         raise EmptyGrid(f"grid count must be >= 1, got {count}")
     if not (np.isfinite(tau_min) and np.isfinite(tau_max)) or tau_min > tau_max:
-        raise DimensionMismatch(f"grid bounds must be ordered, got [{tau_min}, {tau_max}]")
+        raise DimensionMismatch(
+            f"grid bounds must be finite and ordered, got [{tau_min}, {tau_max}]"
+        )
     if tau_min < 0.0:
         raise NegativeTau(f"tau grid bounds must be >= 0, got {tau_min}")
     if scale == "log":
@@ -240,20 +241,6 @@ def epsilon_estimated(pair: GramianPair, tau: float) -> float:
     return pair.c * lambda_max_symmetric(pair.gh - t * pair.gl)
 
 
-def _epsilon_series(pair: GramianPair, grid: np.ndarray,
-                    workers: int | None = None) -> np.ndarray:
-    """eps_hat over a whole grid, optionally with a thread pool.
-
-    Every entry is computed by the same scalar routine regardless of the
-    worker count, so parallel and serial sweeps agree bitwise.
-    """
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda t: epsilon_estimated(pair, t), grid))
-        return np.asarray(values)
-    return np.asarray([epsilon_estimated(pair, t) for t in grid])
-
-
 # --------------------------------------------------------------------------
 # rho and the grid minimization
 # --------------------------------------------------------------------------
@@ -262,22 +249,18 @@ def rho(k: int, tau: float, eps: float, sigma: SingularSpectrum,
         cl_norm: float, id_residual: float) -> float | None:
     """Bound term rho_k(tau) for a given eps; None when invalid.
 
-    Invalid means a negative radicand (possible only with estimated eps) or
-    sigma_k = 0. By convention sigma_{k+1} is taken as 0 when k = rank(L).
+    Invalid means a negative radicand (possible only with estimated eps).
+    By convention sigma_{k+1} is taken as 0 when k = rank(L). The value is
+    the sweep's own cell, so it equals ``BoundReport.rho_at`` bitwise.
     """
     t = _check_tau(tau)
     rank = sigma.numerical_rank()
     if not 1 <= k <= rank:
         raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
-    sk = sigma.sigma(k)
-    if sk == 0.0:
-        return None
-    skp1 = sigma.sigma(k + 1) if k < rank else 0.0
-    rad1 = t * skp1 * skp1 + eps
-    rad2 = t + eps / (sk * sk)
-    if rad1 < 0.0 or rad2 < 0.0:
-        return None
-    return float((1.0 + cl_norm) * np.sqrt(rad1) + id_residual * np.sqrt(rad2))
+    term1, term2 = _rho_terms(np.array([t]), np.array([float(eps)]), sigma,
+                              cl_norm, id_residual)
+    value = float(term1[0, k - 1] + term2[0, k - 1])
+    return None if np.isnan(value) else value
 
 
 def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: SingularSpectrum,
@@ -334,55 +317,76 @@ class BoundReport:
         return self.rho_values.shape[1]
 
 
-def _argmin_first(values: np.ndarray):
-    """Index and value of the NaN-aware minimum; first occurrence wins."""
+def _argmin_first(values: np.ndarray) -> int:
+    """Flat index of the NaN-aware minimum; first occurrence wins."""
     masked = np.where(np.isnan(values), np.inf, values)
     flat = int(np.argmin(masked))
     if not np.isfinite(masked.flat[flat]):
         raise AllCombinationsInvalid(
             "every (k, tau) combination had a negative radicand"
         )
-    return flat, float(masked.flat[flat])
+    return flat
 
 
-def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
-                   id_residual: float, grid=None, *,
-                   workers: int | None = None,
-                   subsample_seed: int | None = None,
-                   subsample_indices=None) -> BoundReport:
-    """Sweep rho_k(tau) over the grid and every k <= rank(L).
+def _sweep(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
+           id_residual: float, grid, *, two_tau: bool, subsample_seed,
+           subsample_indices) -> BoundReport:
+    """eps_hat once per grid point, the rho term grids, and their minimizer.
 
-    Scanning order is ascending tau, then ascending k; ties on the minimum
-    value resolve to the earliest point in that order, so serial and
-    parallel (``workers``) sweeps return identical reports.
+    With ``two_tau`` the B1 and B2 terms are minimized over tau separately
+    for each k before minimizing over k; otherwise rho = B1 + B2 is
+    minimized over (tau, k) jointly.
     """
     g = _validate_grid(default_tau_grid() if grid is None else grid)
-    eps = _epsilon_series(pair, g, workers=workers)
+    eps = np.asarray([epsilon_estimated(pair, t) for t in g])
     term1, term2 = _rho_terms(g, eps, sigma, cl_norm, id_residual)
     rho_grid = term1 + term2
-    flat, best = _argmin_first(rho_grid)
-    ti, ki = np.unravel_index(flat, rho_grid.shape)
+    if two_tau:
+        t1_idx = np.argmin(np.where(np.isnan(term1), np.inf, term1), axis=0)
+        t2_idx = np.argmin(np.where(np.isnan(term2), np.inf, term2), axis=0)
+        cols = np.arange(term1.shape[1])
+        ki = _argmin_first(term1[t1_idx, cols] + term2[t2_idx, cols])
+        ti, ti2 = t1_idx[ki], t2_idx[ki]
+    else:
+        ti, ki = np.unravel_index(_argmin_first(rho_grid), rho_grid.shape)
+        ti2 = ti
+    b1 = float(term1[ti, ki])
+    b2 = float(term2[ti2, ki])
     return BoundReport(
         tau_grid=g,
         eps_values=eps,
         rho_values=rho_grid,
         best_tau=float(g[ti]),
         best_k=int(ki) + 1,
-        best_rho=best,
-        b1=float(term1[ti, ki]),
-        b2=float(term2[ti, ki]),
+        best_rho=b1 + b2,
+        b1=b1,
+        b2=b2,
         sigma=sigma,
         cl_norm=float(cl_norm),
         id_residual=float(id_residual),
+        best_tau2=float(g[ti2]) if two_tau else None,
         subsample_seed=subsample_seed,
         subsample_indices=None if subsample_indices is None
         else tuple(int(i) for i in subsample_indices),
     )
 
 
+def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
+                   id_residual: float, grid=None, *,
+                   subsample_seed: int | None = None,
+                   subsample_indices=None) -> BoundReport:
+    """Sweep rho_k(tau) over the grid and every k <= rank(L).
+
+    Scanning order is ascending tau, then ascending k; ties on the minimum
+    value resolve to the earliest point in that order.
+    """
+    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=False,
+                  subsample_seed=subsample_seed,
+                  subsample_indices=subsample_indices)
+
+
 def minimize_bound_two_tau(pair: GramianPair, sigma: SingularSpectrum,
                            cl_norm: float, id_residual: float, grid=None, *,
-                           workers: int | None = None,
                            subsample_seed: int | None = None,
                            subsample_indices=None) -> BoundReport:
     """Variant minimizing the B1 and B2 terms over independent tau values.
@@ -390,36 +394,9 @@ def minimize_bound_two_tau(pair: GramianPair, sigma: SingularSpectrum,
     The feasible set contains every single-tau point, so the result never
     exceeds the single-tau minimum.
     """
-    g = _validate_grid(default_tau_grid() if grid is None else grid)
-    eps = _epsilon_series(pair, g, workers=workers)
-    term1, term2 = _rho_terms(g, eps, sigma, cl_norm, id_residual)
-
-    masked1 = np.where(np.isnan(term1), np.inf, term1)
-    masked2 = np.where(np.isnan(term2), np.inf, term2)
-    t1_idx = np.argmin(masked1, axis=0)
-    t2_idx = np.argmin(masked2, axis=0)
-    cols = np.arange(term1.shape[1])
-    best1 = masked1[t1_idx, cols]
-    best2 = masked2[t2_idx, cols]
-    totals = best1 + best2
-    ki, best = _argmin_first(np.where(np.isinf(totals), np.nan, totals))
-    return BoundReport(
-        tau_grid=g,
-        eps_values=eps,
-        rho_values=term1 + term2,
-        best_tau=float(g[t1_idx[ki]]),
-        best_k=int(ki) + 1,
-        best_rho=best,
-        b1=float(best1[ki]),
-        b2=float(best2[ki]),
-        sigma=sigma,
-        cl_norm=float(cl_norm),
-        id_residual=float(id_residual),
-        best_tau2=float(g[t2_idx[ki]]),
-        subsample_seed=subsample_seed,
-        subsample_indices=None if subsample_indices is None
-        else tuple(int(i) for i in subsample_indices),
-    )
+    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=True,
+                  subsample_seed=subsample_seed,
+                  subsample_indices=subsample_indices)
 
 
 # --------------------------------------------------------------------------
@@ -442,8 +419,7 @@ class EfficacyResult:
 
 
 def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
-                   n_sub: int, trials: int, seed: int, grid=None, *,
-                   workers: int | None = None) -> EfficacyResult:
+                   n_sub: int, trials: int, seed: int, grid=None) -> EfficacyResult:
     """Repeatedly sub-sample n columns, run the bound sweep, and divide by
     the true lifting error ||H - H_hat||.
 
@@ -486,8 +462,7 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
         pair = GramianPair.from_snapshots(high, low, idx)
         report = minimize_bound(
             pair, sigma, cl_norm, id_residual, grid,
-            workers=workers, subsample_seed=seed,
-            subsample_indices=idx,
+            subsample_seed=seed, subsample_indices=idx,
         )
         ratios[t] = report.best_rho / true_error
     return EfficacyResult(

@@ -16,7 +16,6 @@ All diagnostics go to stderr; results and file paths go to stdout.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -56,60 +55,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the bound/efficacy commands."""
-
-    rank: int | None
-    tol: float | None
-    tau_min: float
-    tau_max: float
-    tau_count: int
-    tau_scale: str
-    n_sub: int | None
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if (self.rank is None) == (self.tol is None):
-            raise _UsageError("exactly one of --rank or --tol is required")
-        if self.tau_count < 1:
-            raise _UsageError("--tau-count must be positive")
-        if not self.tau_min <= self.tau_max:
-            raise _UsageError("--tau-min must not exceed --tau-max")
-        if self.trials < 1:
-            raise _UsageError("--trials must be positive")
-
-    def grid(self, default: bool):
-        if default:
-            return default_tau_grid()
-        return tau_grid(self.tau_min, self.tau_max, self.tau_count, self.tau_scale)
+def _add_mode_flags(p):
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--rank", type=int)
+    mode.add_argument("--tol", type=float)
 
 
 def _add_tau_flags(p):
     p.add_argument("--tau-min", type=float, default=None, help="grid lower bound")
     p.add_argument("--tau-max", type=float, default=None, help="grid upper bound")
     p.add_argument("--tau-count", type=int, default=None, help="grid point count")
-    p.add_argument("--tau-scale", choices=("log", "linear"), default="log")
+    p.add_argument("--tau-scale", choices=("log", "linear"), default=None)
 
 
-def _run_config(args) -> tuple[RunConfig, bool]:
-    explicit = any(
-        getattr(args, name, None) is not None
-        for name in ("tau_min", "tau_max", "tau_count")
+def _tau_grid_from_args(args):
+    """The default grid when no tau flag is given; otherwise ``tau_grid``
+    with each omitted flag at its documented default."""
+    given = (args.tau_min, args.tau_max, args.tau_count, args.tau_scale)
+    if all(value is None for value in given):
+        return default_tau_grid()
+    return tau_grid(
+        1e-6 if args.tau_min is None else args.tau_min,
+        1e6 if args.tau_max is None else args.tau_max,
+        201 if args.tau_count is None else args.tau_count,
+        args.tau_scale or "log",
     )
-    cfg = RunConfig(
-        rank=getattr(args, "rank", None),
-        tol=getattr(args, "tol", None),
-        tau_min=args.tau_min if args.tau_min is not None else 1e-6,
-        tau_max=args.tau_max if args.tau_max is not None else 1e6,
-        tau_count=args.tau_count if args.tau_count is not None else 201,
-        tau_scale=args.tau_scale,
-        n_sub=getattr(args, "n", None),
-        trials=getattr(args, "trials", None) or 1,
-        seed=getattr(args, "seed", None) or 0,
-    )
-    return cfg, not explicit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="build the interpolative decomposition")
     p.add_argument("--low", required=True, help="low-fidelity snapshot file")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    _add_mode_flags(p)
     p.add_argument("--out-id", required=True, help="output decomposition file")
     p.set_defaults(func=_cmd_decompose)
 
@@ -152,12 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low", required=True)
     p.add_argument("--high-sub", required=True,
                    help="snapshot file holding only the sub-sampled high-fidelity columns")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    _add_mode_flags(p)
     _add_tau_flags(p)
     p.add_argument("--two-tau", action="store_true",
                    help="minimize the two bound terms over independent tau values")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None, help="report CSV path")
     p.set_defaults(func=_cmd_bound)
 
@@ -228,21 +195,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _check_mode_flags(args) -> None:
-    if (args.rank is None) == (args.tol is None):
-        raise _UsageError("exactly one of --rank or --tol is required")
-
-
-def _decompose_from_args(low, args):
-    if args.rank is not None:
-        return build_id(low, rank=args.rank)
-    return build_id(low, tol=args.tol)
-
-
 def _cmd_decompose(args) -> int:
-    _check_mode_flags(args)
     low = read_snapshots(args.low)
-    decomposition = _decompose_from_args(low, args)
+    decomposition = build_id(low, rank=args.rank, tol=args.tol)
     write_id(decomposition, args.out_id, sample_ids=low.sample_ids)
     print(f"rank: {decomposition.rank}")
     print(f"selected columns: {list(decomposition.selected)}")
@@ -286,8 +241,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    _check_mode_flags(args)
-    cfg, use_default = _run_config(args)
+    grid = _tau_grid_from_args(args)
     low = read_snapshots(args.low)
     high_sub = read_snapshots(args.high_sub)
 
@@ -301,7 +255,7 @@ def _cmd_bound(args) -> int:
             f"sub-sampled column id {exc.args[0]!r} not present in {args.low}"
         ) from exc
 
-    decomposition = _decompose_from_args(low, args)
+    decomposition = build_id(low, rank=args.rank, tol=args.tol)
     pair = GramianPair.from_columns(
         high_sub.data, low.data[:, idx], n_total=low.n_samples
     )
@@ -309,8 +263,7 @@ def _cmd_bound(args) -> int:
     minimize = minimize_bound_two_tau if args.two_tau else minimize_bound
     report = minimize(
         pair, sigma, decomposition.coeff_norm(), decomposition.residual_norm,
-        cfg.grid(use_default), workers=args.workers,
-        subsample_indices=idx,
+        grid, subsample_indices=idx,
     )
     print(f"n_sub: {pair.n_sub} of {pair.n_total}")
     print(f"rank: {decomposition.rank}")
@@ -328,12 +281,12 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_efficacy(args) -> int:
-    cfg, use_default = _run_config(args)
+    grid = _tau_grid_from_args(args)
     high = read_snapshots(args.high)
     low = read_snapshots(args.low)
     result = efficacy_study(
         high, low, rank=args.rank, n_sub=args.n, trials=args.trials,
-        seed=args.seed, grid=cfg.grid(use_default),
+        seed=args.seed, grid=grid,
     )
     for t, ratio in enumerate(result.ratios):
         print(f"trial {t}: {float(ratio)!r}")
@@ -366,9 +319,6 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from bifidelity.bound import (
     epsilon_exact,
     lifting_oracle_T,
     minimize_bound,
+    rho,
 )
 from bifidelity.cli import cli_main
 from bifidelity.interp import build_id
@@ -306,7 +307,7 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
         assert a.name == b.name
         assert a.read_bytes() == b.read_bytes(), a.name
 
-    # parallel and serial bound sweeps coincide exactly
+    # the bound sweep equals its per-tau scalar reference exactly
     rng = np.random.default_rng(23)
     low = rng.standard_normal((8, 20))
     high = rng.standard_normal((9, 8)) @ low + 0.05 * rng.standard_normal((9, 20))
@@ -315,14 +316,16 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
     dec = build_id(low_s, rank=4)
     sigma = singular_values(low)
     pair = GramianPair.full(high_s, low_s)
-    serial = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
-    parallel = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm,
-                              workers=4)
-    assert np.array_equal(serial.eps_values, parallel.eps_values)
-    assert np.array_equal(np.nan_to_num(serial.rho_values),
-                          np.nan_to_num(parallel.rho_values))
-    assert (serial.best_rho, serial.best_tau, serial.best_k) == \
-        (parallel.best_rho, parallel.best_tau, parallel.best_k)
+    report = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
+    eps_ref = [epsilon_estimated(pair, t) for t in report.tau_grid]
+    assert np.array_equal(report.eps_values, eps_ref)
+    rho_ref = np.array([
+        [np.nan if v is None else v
+         for v in (rho(k, t, e, sigma, dec.coeff_norm(), dec.residual_norm)
+                   for k in range(1, report.rank + 1))]
+        for t, e in zip(report.tau_grid, eps_ref)
+    ])
+    assert np.array_equal(report.rho_values, rho_ref, equal_nan=True)
 
     elapsed = time.time() - start
     assert elapsed < 30.0

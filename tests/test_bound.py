@@ -243,21 +243,54 @@ def test_minimize_bound_monotone_under_grid_refinement():
     assert fine.best_rho <= coarse.best_rho
 
 
-def test_minimize_bound_parallel_matches_serial():
+def scalar_reference(pair, report):
+    """eps and rho recomputed one grid point at a time with the scalar
+    routines; None from ``rho`` becomes NaN."""
+    eps = np.array([epsilon_estimated(pair, t) for t in report.tau_grid])
+    rho_grid = np.array([
+        [np.nan if v is None else v
+         for v in (rho(k, t, e, report.sigma, report.cl_norm, report.id_residual)
+                   for k in range(1, report.rank + 1))]
+        for t, e in zip(report.tau_grid, eps)
+    ])
+    return eps, rho_grid
+
+
+def test_minimize_bound_matches_per_tau_reference():
     high, low = wide_pair(11)
     dec = build_id(low, rank=3)
     sigma = singular_values(low.data)
     pair = GramianPair.full(high, low)
-    serial = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
-    parallel = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm,
-                              workers=4)
-    assert np.array_equal(serial.eps_values, parallel.eps_values)
-    assert np.array_equal(
-        np.nan_to_num(serial.rho_values), np.nan_to_num(parallel.rho_values)
-    )
-    assert serial.best_rho == parallel.best_rho
-    assert serial.best_tau == parallel.best_tau
-    assert serial.best_k == parallel.best_k
+    single = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
+    two = minimize_bound_two_tau(pair, sigma, dec.coeff_norm(), dec.residual_norm)
+    for rep in (single, two):
+        eps, rho_grid = scalar_reference(pair, rep)
+        assert np.array_equal(rep.eps_values, eps)
+        assert np.array_equal(rep.rho_values, rho_grid, equal_nan=True)
+    # first minimum in (tau, k) scanning order
+    ti, ki = np.unravel_index(np.nanargmin(rho_grid), rho_grid.shape)
+    assert (single.best_rho, single.best_tau, single.best_k) == \
+        (rho_grid[ti, ki], single.tau_grid[ti], ki + 1)
+
+
+def test_scalar_rho_matches_report_cell_by_cell():
+    cfg = DiffusionConfig()
+    high, low = diffusion_pair(draw_diffusion_samples(120, seed=5, cfg=cfg), cfg)
+    dec = build_id(low, rank=10)
+    sigma = singular_values(low.data)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        idx = np.sort(rng.choice(low.n_samples, size=20, replace=False))
+        pair = GramianPair.from_snapshots(high, low, idx)
+        rep = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
+        for i, (t, e) in enumerate(zip(rep.tau_grid, rep.eps_values)):
+            for k in range(1, rep.rank + 1):
+                value = rho(k, t, e, sigma, dec.coeff_norm(), dec.residual_norm)
+                expected = rep.rho_at(k, i)
+                if value is None:
+                    assert np.isnan(expected), (k, i)
+                else:
+                    assert value == expected, (k, i)
 
 
 def test_minimize_bound_all_invalid():

@@ -154,6 +154,8 @@ def test_csv_format_pipeline(tmp_path):
 
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert cli_main(["no-such-command"]) == 1
+    assert cli_main(["bound", "--low", "x.bfsm", "--high-sub", "y.bfsm",
+                     "--rank", "1", "--workers", "2"]) == 1  # removed flag
     assert cli_main(["decompose", "--low", "x.bfsm"]) == 1  # missing mode
     assert cli_main([
         "decompose", "--low", "x.bfsm", "--rank", "1", "--tol", "0.1",
@@ -175,6 +177,62 @@ def test_data_errors_exit_two(tmp_path, capsys):
         "--out-id", str(tmp_path / "id.json"),
     ]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def diffusion_files(tmp_path_factory):
+    """Small diffusion pair plus a file of every fourth high-fidelity column."""
+    d = tmp_path_factory.mktemp("diffusion")
+    assert cli_main(["generate", "diffusion", "--samples", "40", "--seed", "3",
+                     "--out", str(d / "diff")]) == 0
+    high = read_snapshots(d / "diff.high.bfsm")
+    write_snapshots(high.columns(list(range(0, 40, 4))), d / "diff.sub.bfsm")
+    return {"high": d / "diff.high.bfsm", "low": d / "diff.low.bfsm",
+            "sub": d / "diff.sub.bfsm"}
+
+
+def _command(name, files):
+    if name == "bound":
+        return ["bound", "--low", str(files["low"]), "--high-sub",
+                str(files["sub"]), "--rank", "4"]
+    return ["efficacy", "--high", str(files["high"]), "--low", str(files["low"]),
+            "--rank", "4", "--n", "10", "--trials", "2"]
+
+
+BAD_TAU_FLAGS = {
+    "count-zero": ["--tau-count", "0"],
+    "unordered": ["--tau-min", "10", "--tau-max", "1"],
+    "min-nan": ["--tau-min", "nan"],
+    "min-negative": ["--tau-min", "-1"],
+    "log-min-zero": ["--tau-min", "0"],
+    "max-inf": ["--tau-max", "inf"],
+}
+BAD_FLAGS = [
+    pytest.param(command, flags, id=f"{command}-{name}")
+    for command in ("bound", "efficacy") for name, flags in BAD_TAU_FLAGS.items()
+] + [
+    pytest.param("efficacy", ["--trials", "-1"], id="efficacy-trials-negative"),
+    pytest.param("efficacy", ["--trials", "0"], id="efficacy-trials-zero"),
+]
+
+
+@pytest.mark.parametrize("command,flags", BAD_FLAGS)
+def test_out_of_range_parameters_exit_two(diffusion_files, capsys, command, flags):
+    capsys.readouterr()
+    assert cli_main(_command(command, diffusion_files) + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+
+def test_tau_scale_alone_selects_default_bounds(diffusion_files, tmp_path):
+    report = tmp_path / "report.csv"
+    assert cli_main(_command("bound", diffusion_files) + [
+        "--tau-scale", "linear", "--out", str(report)]) == 0
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:-1]]
+    taus = [float(row[1]) for row in rows if row[0] == "1"]
+    assert np.array_equal(taus, np.linspace(1e-6, 1e6, 201))
 
 
 def test_numerical_errors_exit_three(tmp_path, capsys):
