@@ -72,6 +72,11 @@ class NonFiniteEntry(DataError):
     """A snapshot file contains a NaN or Inf entry."""
 
 
+class MalformedFile(DataError):
+    """A JSON decomposition file or snapshot sidecar is not valid JSON, lacks
+    a field, or holds a field of the wrong type."""
+
+
 # --- numerical errors --------------------------------------------------------
 
 class NoConvergence(NumericalError):

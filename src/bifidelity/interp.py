@@ -46,17 +46,16 @@ class InterpDecomposition:
         sel = tuple(int(j) for j in self.selected)
         skel = np.asarray(self.skeleton, dtype=np.float64)
         cf = np.asarray(self.coeffs, dtype=np.float64)
-        n = cf.shape[1]
         if self.rank != len(sel):
             raise DimensionMismatch("rank must equal the number of selected columns")
         if len(set(sel)) != len(sel):
             raise DimensionMismatch("selected column indices must be distinct")
-        if any(j < 0 or j >= n for j in sel):
-            raise DimensionMismatch("selected column index out of range")
         if skel.ndim != 2 or skel.shape[1] != self.rank:
             raise DimensionMismatch("skeleton must have one column per selected index")
         if cf.ndim != 2 or cf.shape[0] != self.rank:
             raise DimensionMismatch("coeffs must have one row per selected index")
+        if any(j < 0 or j >= cf.shape[1] for j in sel):
+            raise DimensionMismatch("selected column index out of range")
         if self.rank and not np.allclose(
             cf[:, list(sel)], np.eye(self.rank), rtol=0.0, atol=1e-12
         ):
@@ -75,15 +74,15 @@ class InterpDecomposition:
         return self.coeffs.shape[1]
 
     def coeff_norm(self) -> float:
-        """Spectral norm of the coefficient matrix."""
-        return spectral_norm(self.coeffs)
+        """Spectral norm of the coefficient matrix (0.0 at rank 0)."""
+        return spectral_norm(self.coeffs) if self.rank else 0.0
 
 
 def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     """Solve R11 Z = R12; minimum-Frobenius-norm solution if ill-conditioned."""
     r = r11.shape[0]
-    if r12.shape[1] == 0:
-        return np.zeros((r, 0))
+    if r == 0 or r12.shape[1] == 0:
+        return np.zeros((r, r12.shape[1]))
     s = np.linalg.svd(r11, compute_uv=False)
     ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
     if ill:
@@ -111,9 +110,11 @@ def _assemble(low: np.ndarray, perm: np.ndarray, r_factor: np.ndarray, rank: int
 def build_id(low, *, rank: int | None = None, tol: float | None = None) -> InterpDecomposition:
     """Build the interpolative decomposition of ``low``.
 
-    Exactly one of ``rank`` (fixed rank) or ``tol`` (smallest rank whose
-    reconstruction residual, measured in the spectral norm, is <= tol) must
-    be given. ``low`` may be a :class:`SnapshotMatrix` or a plain array.
+    Exactly one of ``rank`` (fixed rank) or ``tol`` (smallest rank r >= 1
+    whose recomputed reconstruction residual, measured in the spectral norm,
+    is <= tol) must be given. A tolerance-mode result is bitwise equal to the
+    fixed-rank result at the rank it chose. ``low`` may be a
+    :class:`SnapshotMatrix` or a plain array.
 
     Raises :class:`ToleranceUnreachable` when even the full-rank
     decomposition cannot meet ``tol``.
@@ -122,44 +123,37 @@ def build_id(low, *, rank: int | None = None, tol: float | None = None) -> Inter
     if (rank is None) == (tol is None):
         raise DimensionMismatch("exactly one of rank= or tol= must be given")
 
-    if rank is not None:
-        q, r_factor, perm, got = pivoted_qr(data, rank=rank)
-        del q
-        selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, got)
-        return InterpDecomposition(
-            rank=got,
-            selected=selected,
-            skeleton=skeleton,
-            coeffs=coeffs,
-            residual_norm=residual,
-        )
-
-    # tolerance mode: the pivot order does not depend on the truncation rank,
-    # so factor once at full rank and scan for the smallest admissible rank
-    if tol < 0.0 or not np.isfinite(tol):
-        raise DimensionMismatch(f"tolerance must be finite and >= 0, got {tol}")
-    max_rank = min(data.shape)
-    q, r_factor, perm, avail = pivoted_qr(data, rank=max_rank)
-    del q
-    if avail == 0:
-        # all-zero matrix: the empty decomposition already reconstructs it
-        selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, 0)
-        return InterpDecomposition(
-            rank=0, selected=selected, skeleton=skeleton,
-            coeffs=coeffs, residual_norm=residual,
-        )
-    for cand in range(1, avail + 1):
-        selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, cand)
-        if residual <= tol:
-            return InterpDecomposition(
-                rank=cand,
-                selected=selected,
-                skeleton=skeleton,
-                coeffs=coeffs,
-                residual_norm=residual,
-            )
-    raise ToleranceUnreachable(
-        f"tolerance {tol:g} below the achievable residual {residual:g} at rank {avail}"
+    if rank is None:
+        if tol < 0.0 or not np.isfinite(tol):
+            raise DimensionMismatch(f"tolerance must be finite and >= 0, got {tol}")
+        # the QR stops at the first rank whose trailing block, which is the
+        # ID residual, meets tol; the residual is recomputed directly below
+        _, r_factor, perm, rank = pivoted_qr(data, tol=tol)
+        if rank == 0 and data.any():
+            # the empty decomposition is kept only for the all-zero matrix
+            _, r_factor, perm, rank = pivoted_qr(data, rank=1)
+    else:
+        _, r_factor, perm, rank = pivoted_qr(data, rank=rank)
+    selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, rank)
+    if tol is not None:
+        # roundoff ties: step on until the recomputed residual meets tol
+        while residual > tol:
+            got = rank
+            if rank < min(data.shape):
+                _, r_factor, perm, got = pivoted_qr(data, rank=rank + 1)
+            if got == rank:  # no further pivot, or a trailing block of zeros
+                raise ToleranceUnreachable(
+                    f"tolerance {tol:g} below the achievable residual "
+                    f"{residual:g} at rank {rank}"
+                )
+            rank = got
+            selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, rank)
+    return InterpDecomposition(
+        rank=rank,
+        selected=selected,
+        skeleton=skeleton,
+        coeffs=coeffs,
+        residual_norm=residual,
     )
 
 

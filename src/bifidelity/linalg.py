@@ -99,9 +99,12 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
 
     Exactly one of ``rank`` (stop after that many steps) or ``tol`` (stop at
     the smallest step count whose trailing residual has spectral norm <= tol,
-    checked before each step) must be given. If the residual becomes exactly
-    zero, or tolerance mode exhausts min(rows, cols) steps, fewer columns than
-    requested may be returned.
+    checked before each step) must be given. The spectral norm of the trailing
+    block lies between its largest column norm and its Frobenius norm, both
+    read off the pivot norms, so a 2-norm is computed only on steps those two
+    bounds leave undecided. If the residual becomes exactly zero, or tolerance
+    mode exhausts min(rows, cols) steps, fewer columns than requested may be
+    returned.
 
     Returns ``(Q, R, perm, rank)``: Q with `rank` orthonormal columns, R of
     shape (rank, cols) upper triangular in its leading block, and ``perm`` the
@@ -128,9 +131,9 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
 
     k = 0
     while k < target:
-        if tol is not None and np.linalg.norm(w[:, k:], 2) <= tol:
-            break
         norms = np.linalg.norm(w[:, k:], axis=0)
+        if tol is not None and _within_tol(w[:, k:], norms, tol):
+            break
         j = k + int(np.argmax(norms))  # argmax returns the first max: ties go low
         if norms[j - k] == 0.0:
             break  # residual exactly zero
@@ -156,6 +159,19 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
         k += 1
 
     return q_full[:, :k].copy(), r_full[:k].copy(), perm, k
+
+
+def _within_tol(trailing: np.ndarray, norms: np.ndarray, tol: float) -> bool:
+    """Whether ||trailing||_2 <= tol, given its column norms.
+
+    max(norms) <= ||trailing||_2 <= ||norms||_2; the 1e-12 margins keep the
+    decision of the two bounds equal to that of a computed 2-norm.
+    """
+    if norms.max() > tol * (1.0 + 1e-12):
+        return False
+    if np.linalg.norm(norms) <= tol * (1.0 - 1e-12):
+        return True
+    return bool(np.linalg.norm(trailing, 2) <= tol)
 
 
 def svd(a):

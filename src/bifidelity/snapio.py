@@ -19,6 +19,7 @@ column.
 """
 
 import csv
+import io
 import json
 import struct
 from pathlib import Path
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    MalformedFile,
     NonFiniteEntry,
     TruncatedPayload,
     VersionUnsupported,
@@ -62,12 +64,49 @@ def _write_sidecar(path, sample_ids, provenance) -> None:
     )
 
 
+def _load_json(path) -> dict:
+    """A JSON object from ``path``; :class:`MalformedFile` if it is none."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise MalformedFile(f"{path}: expected a JSON object")
+    return doc
+
+
+def _field(doc: dict, key: str, kind, path):
+    """``doc[key]``, checked to be an instance of ``kind`` (never a bool)."""
+    if key not in doc:
+        raise MalformedFile(f"{path}: missing key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedFile(f"{path}: {key!r} has the wrong type")
+    return value
+
+
+def _list_of(doc: dict, key: str, kind, path) -> list:
+    """``doc[key]``, checked to be a list of ``kind`` (never of bools)."""
+    items = _field(doc, key, list, path)
+    if not all(isinstance(x, kind) and not isinstance(x, bool) for x in items):
+        raise MalformedFile(f"{path}: {key!r} must be a list of {kind.__name__}")
+    return items
+
+
+def _matrix(doc: dict, key: str, path) -> np.ndarray:
+    """``doc[key]`` as a float64 array; :class:`MalformedFile` if not numeric."""
+    rows = _field(doc, key, list, path)
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFile(f"{path}: {key!r} is not a numeric matrix") from exc
+
+
 def _read_sidecar(path):
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return None
-    doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    return [str(s) for s in doc.get("sample_ids", [])]
+    return _list_of(_load_json(sidecar), "sample_ids", str, sidecar)
 
 
 def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
@@ -80,10 +119,11 @@ def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
         _write_sidecar(path, matrix.sample_ids, provenance)
         return
     if fmt == "csv":
-        lines = [",".join(matrix.sample_ids)]
-        for row in matrix.data:
-            lines.append(",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")  # quotes ids with , " or \n
+        writer.writerow(matrix.sample_ids)
+        writer.writerows([repr(float(v)) for v in row] for row in matrix.data)
+        Path(path).write_text(buf.getvalue(), encoding="utf-8")
         _write_sidecar(path, matrix.sample_ids, provenance)
         return
     raise DimensionMismatch(f"unknown snapshot format {fmt!r}")
@@ -123,7 +163,7 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
 
 def _read_csv(text: str, path) -> SnapshotMatrix:
     try:
-        rows = list(csv.reader(text.splitlines()))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise BadMagic(f"{path}: neither BFSM binary nor parseable CSV") from exc
     rows = [r for r in rows if r]
@@ -211,17 +251,18 @@ def write_id(decomposition: InterpDecomposition, path,
 
 def read_id(path):
     """Load a decomposition file; returns (decomposition, sample_ids)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _load_json(path)
     if doc.get("format") != ID_FORMAT:
         raise BadMagic(f"{path}: not a {ID_FORMAT} file")
     if doc.get("version") != ID_VERSION:
         raise VersionUnsupported(f"{path}: unsupported version {doc.get('version')}")
     decomposition = InterpDecomposition(
-        rank=int(doc["rank"]),
-        selected=tuple(int(j) for j in doc["selected"]),
-        skeleton=np.asarray(doc["skeleton"], dtype=np.float64),
-        coeffs=np.asarray(doc["coeffs"], dtype=np.float64),
-        residual_norm=float(doc["residual_norm"]),
+        rank=_field(doc, "rank", int, path),
+        selected=tuple(_list_of(doc, "selected", int, path)),
+        skeleton=_matrix(doc, "skeleton", path),
+        coeffs=_matrix(doc, "coeffs", path),
+        residual_norm=float(_field(doc, "residual_norm", (int, float), path)),
     )
-    ids = doc.get("sample_ids")
-    return decomposition, None if ids is None else tuple(str(s) for s in ids)
+    if doc.get("sample_ids") is None:
+        return decomposition, None
+    return decomposition, tuple(_list_of(doc, "sample_ids", str, path))

@@ -4,9 +4,19 @@ Nothing here shares code with the package: the SVD oracle is a one-sided
 Jacobi, the eigenvalue oracle a classical cyclic Jacobi, the section inertia
 an antiderivative-based quadrature, and the pivot-order oracle a plain
 modified Gram-Schmidt. Keeping these independent is the point.
+
+The exception is the pair of tolerance-mode references at the end: they are
+the straightforward stopping rules (a 2-norm before every QR step, and a
+full-rank factorisation scanned rank by rank) that the package's
+tolerance mode shortcuts, so they check the rank choice, not the
+factorisation.
 """
 
 import numpy as np
+
+from bifidelity.errors import ToleranceUnreachable
+from bifidelity.interp import InterpDecomposition, _assemble
+from bifidelity.linalg import pivoted_qr
 
 
 def jacobi_svd_values(a, tol=1e-14, max_sweeps=60):
@@ -136,3 +146,50 @@ def random_matrix_with_spectrum(rng, rows, cols, sigmas):
     u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
     v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
     return (u * np.asarray(sigmas)) @ v.T
+
+
+def qr_rank_by_norm(a, tol):
+    """Steps pivoted QR takes in tolerance mode with a 2-norm before each step.
+
+    Same pivoting and update as the package's ``pivoted_qr`` (classical
+    Gram-Schmidt, ties to the lowest index, one reorthogonalisation pass).
+    """
+    w = np.asarray(a, dtype=np.float64).copy()  # C order, as the package
+    m, n = w.shape
+    basis = np.zeros((m, min(m, n)))
+    k = 0
+    while k < min(m, n):
+        if np.linalg.norm(w[:, k:], 2) <= tol:
+            break
+        norms = np.linalg.norm(w[:, k:], axis=0)
+        j = k + int(np.argmax(norms))
+        if norms[j - k] == 0.0:
+            break
+        w[:, [k, j]] = w[:, [j, k]]
+        v = w[:, k].copy()
+        if k:
+            v -= basis[:, :k] @ (basis[:, :k].T @ v)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            break
+        q = v / nv
+        basis[:, k] = q
+        w[:, k:] -= np.outer(q, q @ w[:, k:])
+        k += 1
+    return k
+
+
+def id_by_rank_scan(low, tol):
+    """Tolerance-mode ID by a linear scan: factor at full rank, then assemble
+    every candidate rank 1, 2, ... until the recomputed residual is <= tol
+    (rank 0 only for the all-zero matrix).
+
+    Raises ``ToleranceUnreachable`` when no available rank meets ``tol``.
+    """
+    data = np.asarray(low, dtype=np.float64)
+    _, r_factor, perm, avail = pivoted_qr(data, rank=min(data.shape))
+    for cand in range(1 if avail else 0, avail + 1):
+        selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, cand)
+        if residual <= tol:
+            return InterpDecomposition(cand, selected, skeleton, coeffs, residual)
+    raise ToleranceUnreachable(f"no rank up to {avail} meets {tol:g}")

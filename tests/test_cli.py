@@ -1,14 +1,18 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifidelity.cli import cli_main
 from bifidelity.snapio import read_id, read_snapshots, write_snapshots
 from bifidelity.lifting import required_samples
 from bifidelity.linalg import spectral_norm
+from bifidelity.snapshots import SnapshotMatrix
 
 
 def run_pipeline(workdir: Path, seed=7) -> dict[str, Path]:
@@ -216,14 +220,18 @@ BAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("command,flags", BAD_FLAGS)
-def test_out_of_range_parameters_exit_two(diffusion_files, capsys, command, flags):
+def _assert_data_error(capsys, argv):
     capsys.readouterr()
-    assert cli_main(_command(command, diffusion_files) + flags) == 2
+    assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+
+@pytest.mark.parametrize("command,flags", BAD_FLAGS)
+def test_out_of_range_parameters_exit_two(diffusion_files, capsys, command, flags):
+    _assert_data_error(capsys, _command(command, diffusion_files) + flags)
 
 
 def test_tau_scale_alone_selects_default_bounds(diffusion_files, tmp_path):
@@ -246,6 +254,87 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
         "--out-id", str(tmp_path / "id.json"),
     ]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def id_file(diffusion_files, tmp_path_factory):
+    """A valid decomposition file of the small diffusion pair."""
+    path = tmp_path_factory.mktemp("id") / "diff.id.json"
+    assert cli_main(["decompose", "--low", str(diffusion_files["low"]), "--rank", "3",
+                     "--out-id", str(path)]) == 0
+    return path
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: dict(doc, **{key: value})
+
+
+BAD_ID_DOCS = {
+    "missing-rank": _without("rank"),
+    "missing-coeffs": _without("coeffs"),
+    "missing-selected": _without("selected"),
+    "missing-skeleton": _without("skeleton"),
+    "missing-residual": _without("residual_norm"),
+    "selected-string": _with("selected", "012"),
+    "selected-floats": _with("selected", [0.0, 1.0, 2.0]),
+    "rank-string": _with("rank", "3"),
+    "coeffs-ragged": _with("coeffs", [[1.0, 2.0], [3.0]]),
+    "coeffs-flat": _with("coeffs", []),
+    "skeleton-text": _with("skeleton", [["a"]]),
+    "residual-null": _with("residual_norm", None),
+    "ids-string": _with("sample_ids", "abc"),
+    "ids-numbers": _with("sample_ids", [1, 2, 3]),
+    "not-an-object": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_ID_DOCS.values(), ids=BAD_ID_DOCS.keys())
+def test_malformed_id_file_exits_two(id_file, tmp_path, capsys, mutate):
+    bad = tmp_path / "bad.id.json"
+    bad.write_text(json.dumps(mutate(json.loads(id_file.read_text()))))
+    _assert_data_error(capsys, ["samples", "--id", str(bad)])
+
+
+@pytest.mark.parametrize("text", ["{not json", "", "\xff\xfe"], ids=["brace", "empty", "bytes"])
+def test_unparseable_id_file_exits_two(tmp_path, capsys, text):
+    bad = tmp_path / "bad.id.json"
+    bad.write_bytes(text.encode("latin-1"))
+    _assert_data_error(capsys, ["samples", "--id", str(bad)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_id_file_exits_two(id_file, tmp_path_factory, cut):
+    text = id_file.read_bytes()
+    bad = tmp_path_factory.mktemp("cut") / "cut.id.json"
+    bad.write_bytes(text[:int(cut * (len(text) - 1))])  # never the closing brace
+    for argv in (["samples", "--id", str(bad)],
+                 ["lift", "--id", str(bad), "--high-skeleton", str(bad),
+                  "--out", str(bad) + ".out"]):
+        assert cli_main(argv) == 2
+
+
+BAD_SIDECARS = {
+    "not-json": "{not json",
+    "missing-ids": '{"provenance": {}}',
+    "ids-string": '{"sample_ids": "abc"}',
+    "ids-numbers": '{"sample_ids": [1, 2]}',
+    "not-an-object": '["a", "b"]',
+}
+
+
+@pytest.mark.parametrize("fmt", ["bfsm", "csv"])
+@pytest.mark.parametrize("text", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+def test_malformed_sidecar_exits_two(tmp_path, capsys, text, fmt):
+    low = tmp_path / f"low.{fmt}"
+    write_snapshots(SnapshotMatrix.from_array(np.eye(3)), low, fmt=fmt)
+    Path(f"{low}.json").write_text(text)
+    _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+                                "--out-id", str(tmp_path / "id.json")])
 
 
 def test_lift_rejects_misaligned_skeleton(tmp_path):

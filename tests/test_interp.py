@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bifidelity.interp as interp
 from bifidelity.errors import DimensionMismatch, ToleranceUnreachable
 from bifidelity.interp import (
     ILL_CONDITION_LIMIT,
@@ -8,10 +11,10 @@ from bifidelity.interp import (
     build_id,
     reconstruct,
 )
-from bifidelity.linalg import spectral_norm
+from bifidelity.linalg import pivoted_qr, spectral_norm
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import random_matrix_with_spectrum
+from oracles import id_by_rank_scan, qr_rank_by_norm, random_matrix_with_spectrum
 
 
 def rank_one_beam_like(n_grid=64, n_samples=25, seed=0):
@@ -154,3 +157,140 @@ def test_decomposition_validates_identity_block():
             coeffs=np.array([[0.5, 1.0]]),
             residual_norm=0.0,
         )
+
+
+def test_tolerance_zero_matrix_keeps_rank_zero():
+    dec = build_id(np.zeros((4, 6)), tol=0.0)
+    assert dec.rank == 0 and dec.residual_norm == 0.0
+    assert dec.coeff_norm() == 0.0
+
+
+def test_tolerance_at_norm_gives_rank_one():
+    rng = np.random.default_rng(43)
+    low = rng.standard_normal((5, 8))
+    dec = build_id(low, tol=2.0 * spectral_norm(low))
+    assert dec.rank == 1  # never the empty decomposition of a nonzero matrix
+    fixed = build_id(low, rank=1)
+    assert dec.selected == fixed.selected
+    assert np.array_equal(dec.coeffs, fixed.coeffs)
+
+
+def test_tolerance_mode_steps_on_when_the_qr_stops_early(monkeypatch):
+    """A QR that stops below the admissible rank (its trailing norm and the
+    recomputed residual on two sides of tol) is stepped on rank by rank."""
+    rng = np.random.default_rng(13)
+    low = random_matrix_with_spectrum(rng, 10, 14, 4.0 ** -np.arange(8))
+    tol = 0.9 * np.sqrt(3 * (14 - 3) + 1) * 4.0**-3
+    expected = build_id(low, tol=tol)
+    assert expected.rank > 1
+    qr = interp.pivoted_qr
+    monkeypatch.setattr(interp, "pivoted_qr", lambda a, rank=None, tol=None:
+                        qr(a, rank=1 if rank is None else rank))
+    dec = build_id(low, tol=tol)
+    assert dec.rank == expected.rank and dec.selected == expected.selected
+    assert np.array_equal(dec.coeffs, expected.coeffs)
+
+
+def test_tolerance_unreachable_names_last_residual():
+    rng = np.random.default_rng(29)
+    low = rng.standard_normal((4, 9))
+    with pytest.raises(ToleranceUnreachable, match=r"at rank 4$"):
+        build_id(low, tol=0.0)
+
+
+# --------------------------------------------------------------------------
+# tolerance mode against the rank-by-rank references (property tests)
+# --------------------------------------------------------------------------
+
+TOL_KINDS = ("zero", "roundoff", "mid", "norm", "above")
+
+
+@st.composite
+def tolerance_problems(draw):
+    """(kind, L, tol name, tol): tall or wide L of one of three kinds.
+
+    ``full`` has min(m, n) distinct singular values from {1, 10^-0.25, ...,
+    10^-6}; ``deficient`` the same with fewer values than min(m, n);
+    ``duplicate`` repeats columns of a smaller Gaussian base. The spacing
+    keeps tol = sqrt(s_i s_(i+1)) and tol = ||L|| clear of every residual
+    by more than rounding error.
+    """
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("full", "deficient", "duplicate")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "duplicate":
+        base = rng.standard_normal((m, draw(st.integers(1, n))))
+        cols = draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=n, max_size=n))
+        low = base[:, cols]
+    else:
+        count = min(m, n)
+        if kind == "deficient":
+            count = draw(st.integers(1, max(1, count - 1)))
+        steps = draw(st.lists(st.integers(0, 24), min_size=count, max_size=count,
+                              unique=True))
+        sigmas = 10.0 ** (-0.25 * np.sort(steps))
+        low = random_matrix_with_spectrum(rng, m, n, sigmas)
+    s = np.linalg.svd(low, compute_uv=False)
+    nonzero = s[s > 1e-10 * s[0]]
+    i = (nonzero.size - 1) // 2
+    mid = np.sqrt(nonzero[i] * nonzero[i + 1]) if nonzero.size > 1 else 0.5 * s[0]
+    norm = spectral_norm(low)
+    name = draw(st.sampled_from(TOL_KINDS))
+    tol = {"zero": 0.0, "roundoff": 1e-16 * norm, "mid": mid, "norm": norm,
+           "above": 1.5 * norm}[name]
+    return kind, low, name, tol
+
+
+def _outcome(low, tol, build):
+    try:
+        return build(low, tol)
+    except ToleranceUnreachable:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tolerance_problems())
+def test_tolerance_mode_matches_rank_scan(problem):
+    """Same rank and selection as the full-rank scan, or both unreachable.
+
+    Below eps * ||L|| on a rank-deficient matrix the residuals past its rank
+    are rounding error; which of them first meets tol depends on the
+    rounding of R12, which later reorthogonalisation passes of a full-rank
+    factorisation change. There only the contract itself is checked: the
+    residual meets tol, and the rank is at least the numerical rank.
+    """
+    kind, low, name, tol = problem
+    got = _outcome(low, tol, lambda a, t: build_id(a, tol=t))
+    if kind != "full" and name in ("zero", "roundoff"):
+        if got is not None:
+            assert 1 <= got.rank and got.residual_norm <= tol
+            s = np.linalg.svd(low, compute_uv=False)
+            assert got.rank >= np.count_nonzero(s > 1e-10 * s[0])
+        return
+    ref = _outcome(low, tol, id_by_rank_scan)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert (got.rank, got.selected) == (ref.rank, ref.selected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tolerance_problems())
+def test_tolerance_mode_equals_fixed_rank_bitwise(problem):
+    _, low, _, tol = problem
+    got = _outcome(low, tol, lambda a, t: build_id(a, tol=t))
+    if got is None:
+        return
+    assert got.residual_norm <= tol
+    fixed = build_id(low, rank=got.rank)
+    assert got.selected == fixed.selected
+    assert np.array_equal(got.coeffs, fixed.coeffs)
+    assert np.array_equal(got.skeleton, fixed.skeleton)
+    assert got.residual_norm == fixed.residual_norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(tolerance_problems())
+def test_pivoted_qr_tolerance_rank_matches_norm_per_step(problem):
+    _, low, _, tol = problem
+    assert pivoted_qr(low, tol=tol)[3] == qr_rank_by_norm(low, tol)

@@ -60,6 +60,26 @@ def test_csv_round_trip_exact_values(tmp_path):
     assert back.sample_ids == m.sample_ids
 
 
+def test_csv_round_trip_quotes_special_ids(tmp_path):
+    ids = ("a,b", 'say "hi"', "two\nlines", "plain")
+    m = SnapshotMatrix(data=np.arange(8.0).reshape(2, 4), sample_ids=ids)
+    path = tmp_path / "m.csv"
+    write_snapshots(m, path, fmt="csv")
+    assert path.read_text().splitlines()[0].startswith('"a,b","say ""hi""",')
+    back = read_snapshots(path)
+    assert back.sample_ids == ids
+    assert np.array_equal(back.data, m.data)
+
+
+def test_csv_plain_ids_keep_the_joined_layout(tmp_path):
+    m = sample_matrix(seed=6, dim=2, n=3)
+    path = tmp_path / "m.csv"
+    write_snapshots(m, path, fmt="csv")
+    rows = [",".join(m.sample_ids)]
+    rows += [",".join(repr(float(v)) for v in row) for row in m.data]
+    assert path.read_text() == "\n".join(rows) + "\n"
+
+
 def test_csv_rejects_nan_naming_position(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\nnan,4.0\n")
