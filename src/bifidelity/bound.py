@@ -51,6 +51,7 @@ from .linalg import (
     spectral_norm,
     svd,
 )
+from .snapio import _atomic_write
 from .snapshots import SnapshotMatrix, aligned_sample_ids
 
 __all__ = [
@@ -522,5 +523,4 @@ def write_bound_report(report: BoundReport, path) -> None:
         f"{report.best_k},{report.best_tau!r},{float(eps[best_ti])!r},"
         f"{report.best_rho!r},summary"
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

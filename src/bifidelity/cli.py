@@ -14,7 +14,6 @@ All diagnostics go to stderr; results and file paths go to stdout.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -40,7 +39,14 @@ from .models import (
     draw_beam_samples,
     draw_diffusion_samples,
 )
-from .snapio import read_id, read_snapshots, write_id, write_snapshots
+from .snapio import (
+    _atomic_write,
+    _json_bytes,
+    read_id,
+    read_snapshots,
+    write_id,
+    write_snapshots,
+)
 from .snapshots import SnapshotMatrix
 
 __all__ = ["cli_main", "main"]
@@ -185,10 +191,7 @@ def _cmd_generate(args) -> int:
         "files": {"high": Path(high_path).name, "low": Path(low_path).name},
     }
     manifest_path = f"{prefix}.manifest.json"
-    Path(manifest_path).write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    _atomic_write(manifest_path, _json_bytes(manifest))
     print(high_path)
     print(low_path)
     print(manifest_path)
@@ -296,7 +299,7 @@ def _cmd_efficacy(args) -> int:
         lines = ["trial,ratio"]
         lines.extend(f"{t},{float(r)!r}" for t, r in enumerate(result.ratios))
         lines.append(f"mean,{result.mean!r}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
         print(args.out)
     return 0
 

@@ -14,7 +14,6 @@ minimum-Frobenius-norm least-squares solution when R11 is ill-conditioned.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, ToleranceUnreachable
 from .linalg import _as_matrix, pivoted_qr, pseudo_inverse, spectral_norm
@@ -87,7 +86,9 @@ def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
     if ill:
         return pseudo_inverse(r11, cutoff=1e-12) @ r12
-    return scipy.linalg.solve_triangular(r11, r12)
+    # R11 is upper triangular with a nonzero diagonal, so partial pivoting swaps
+    # nothing, the LU leaves R11 unchanged and the solve is one back-substitution
+    return np.linalg.solve(r11, r12)
 
 
 def _assemble(low: np.ndarray, perm: np.ndarray, r_factor: np.ndarray, rank: int):

@@ -38,7 +38,8 @@ class BiFidelityModel:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        skel = _as_matrix(self.high_skeleton, "high_skeleton")
+        # a rank-0 rule has no skeleton columns
+        skel = _as_matrix(self.high_skeleton, "high_skeleton", allow_no_columns=True)
         if skel.shape[1] != self.decomposition.rank:
             raise DimensionMismatch(
                 f"high skeleton has {skel.shape[1]} columns, "
@@ -81,7 +82,7 @@ def lift(
     ``high_skeleton`` must have one column per selected index, in the same
     order as ``decomposition.selected``.
     """
-    skel = _as_matrix(high_skeleton, "high_skeleton")
+    skel = _as_matrix(high_skeleton, "high_skeleton", allow_no_columns=True)
     if sample_ids is None:
         sample_ids = tuple(f"sel-{j:06d}" for j in decomposition.selected)
     return BiFidelityModel(

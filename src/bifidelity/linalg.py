@@ -36,12 +36,14 @@ __all__ = [
 DEFAULT_CUTOFF = 1e-12
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str = "matrix", *, allow_no_columns: bool = False) -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D float64 array."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.shape[0] < 1:
+        raise DimensionMismatch(f"{name} must have at least one row")
+    if m.shape[1] < 1 and not allow_no_columns:
         raise DimensionMismatch(f"{name} must have at least one row and column")
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, OutOfBounds, SolverFailure
 from .snapshots import SnapshotMatrix
@@ -273,6 +272,10 @@ def _solve_flux(mu: np.ndarray, n_nodes: int, cfg: DiffusionConfig) -> np.ndarra
     stencils at the boundaries, so a constant coefficient reproduces the
     exact linear flux (1 - 2x)/2 to roundoff.
     """
+    # imported here, by the one solver that needs it, so that importing the
+    # package loads numpy's BLAS runtime only (scipy brings a second one)
+    import scipy.linalg
+
     x = np.linspace(0.0, 1.0, n_nodes)
     h = x[1] - x[0]
     a_half = _coefficient(0.5 * (x[:-1] + x[1:]), mu, cfg)

@@ -15,12 +15,22 @@ missing sidecar yields positional ids. Round-trips are bitwise exact.
 CSV alternative: header row of sample ids, then one row per QoI component,
 one column per sample. Numbers are written in shortest round-trip notation,
 so values survive exactly. A NaN/Inf entry is rejected naming its row and
-column.
+column. Ids are kept verbatim; an id holding ``,`` ``"`` ``\n`` or ``\r`` is
+quoted. The CSV form cannot carry a matrix without columns, an id holding a
+NUL or a lone surrogate, an id longer than ``csv.field_size_limit()``, or a
+first id that starts with the magic "BFSM" (the file would sniff as binary);
+``write_snapshots`` rejects those with a :class:`DataError`.
+
+Every file is written whole: the bytes go to a temporary file in the target
+directory that then replaces the target, so a crash never leaves part of a
+file. A payload and its sidecar are still two separate replaces.
 """
 
+import contextlib
 import csv
 import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -28,6 +38,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DataError,
     DimensionMismatch,
     MalformedFile,
     NonFiniteEntry,
@@ -49,6 +60,36 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 
 
+def _atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so ``path`` never holds part of ``data``.
+
+    A symlink is written through. An existing target that is not a regular
+    file (``/dev/null``, a FIFO) is written in place, never replaced.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    # 0o666 under the umask: the same mode a plain open() would give
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
@@ -58,10 +99,7 @@ def _write_sidecar(path, sample_ids, provenance) -> None:
         "sample_ids": list(sample_ids),
         "provenance": provenance or {},
     }
-    _sidecar_path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    _atomic_write(_sidecar_path(path), _json_bytes(doc))
 
 
 def _load_json(path) -> dict:
@@ -109,21 +147,43 @@ def _read_sidecar(path):
     return _list_of(_load_json(sidecar), "sample_ids", str, sidecar)
 
 
+def _csv_header(sample_ids) -> str:
+    """The CSV header line of ``sample_ids`` without its line end;
+    :class:`DataError` for ids the CSV form cannot carry."""
+    if not sample_ids:
+        raise DataError("the CSV format cannot hold a matrix without columns")
+    for sid in sample_ids:
+        if "\0" in sid or len(sid) > csv.field_size_limit():
+            raise DataError(f"sample id {sid[:40]!r} cannot be written to CSV: "
+                            "it holds a NUL or is too long for a CSV field")
+        try:
+            sid.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"sample id {sid!r} is not valid Unicode text") from exc
+    head = io.StringIO()
+    # the writer quotes fields holding a character of its line terminator;
+    # "\r\n" makes it quote ids with \r as well as , " and \n
+    csv.writer(head, lineterminator="\r\n").writerow(sample_ids)
+    line = head.getvalue()[:-2]
+    if line.startswith(MAGIC.decode("ascii")):
+        raise DataError(f"the first sample id {sample_ids[0]!r} starts with the "
+                        "BFSM magic; a CSV file would be read as binary")
+    return line
+
+
 def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
                     provenance: dict | None = None) -> None:
     """Write a snapshot matrix; ``fmt`` is ``bfsm`` (binary) or ``csv``."""
     if fmt == "bfsm":
         header = _HEADER.pack(MAGIC, VERSION, matrix.dim, matrix.n_samples)
         payload = np.asfortranarray(matrix.data).tobytes(order="F")
-        Path(path).write_bytes(header + payload)
+        _atomic_write(path, header + payload)
         _write_sidecar(path, matrix.sample_ids, provenance)
         return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")  # quotes ids with , " or \n
-        writer.writerow(matrix.sample_ids)
-        writer.writerows([repr(float(v)) for v in row] for row in matrix.data)
-        Path(path).write_text(buf.getvalue(), encoding="utf-8")
+        lines = [_csv_header(matrix.sample_ids)]
+        lines.extend(",".join(repr(float(v)) for v in row) for row in matrix.data)
+        _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
         _write_sidecar(path, matrix.sample_ids, provenance)
         return
     raise DimensionMismatch(f"unknown snapshot format {fmt!r}")
@@ -169,7 +229,7 @@ def _read_csv(text: str, path) -> SnapshotMatrix:
     rows = [r for r in rows if r]
     if len(rows) < 2:
         raise TruncatedPayload(f"{path}: CSV needs a header and at least one row")
-    ids = tuple(s.strip() for s in rows[0])
+    ids = tuple(rows[0])
     n = len(ids)
     data = np.empty((len(rows) - 1, n))
     for i, row in enumerate(rows[1:]):
@@ -231,6 +291,11 @@ def write_id(decomposition: InterpDecomposition, path,
         raise DimensionMismatch(
             f"{len(ids)} sample ids for {decomposition.n_samples} columns"
         )
+    if ids is None and decomposition.rank == 0:
+        raise DimensionMismatch(
+            "a rank-0 decomposition needs sample ids: its empty coeffs do not "
+            "record the sample count"
+        )
     doc = {
         "format": ID_FORMAT,
         "version": ID_VERSION,
@@ -243,10 +308,7 @@ def write_id(decomposition: InterpDecomposition, path,
         "skeleton": [list(map(float, row)) for row in decomposition.skeleton],
         "coeffs": [list(map(float, row)) for row in decomposition.coeffs],
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    _atomic_write(path, _json_bytes(doc))
 
 
 def read_id(path):
@@ -256,13 +318,21 @@ def read_id(path):
         raise BadMagic(f"{path}: not a {ID_FORMAT} file")
     if doc.get("version") != ID_VERSION:
         raise VersionUnsupported(f"{path}: unsupported version {doc.get('version')}")
+    rank = _field(doc, "rank", int, path)
+    coeffs = _matrix(doc, "coeffs", path)
+    ids = None
+    if doc.get("sample_ids") is not None:
+        ids = tuple(_list_of(doc, "sample_ids", str, path))
+    if rank == 0 and coeffs.size == 0:
+        # a rank-0 coeffs matrix is written as [], which loses its width
+        if ids is None:
+            raise MalformedFile(f"{path}: a rank-0 decomposition needs 'sample_ids'")
+        coeffs = np.zeros((0, len(ids)))
     decomposition = InterpDecomposition(
-        rank=_field(doc, "rank", int, path),
+        rank=rank,
         selected=tuple(_list_of(doc, "selected", int, path)),
         skeleton=_matrix(doc, "skeleton", path),
-        coeffs=_matrix(doc, "coeffs", path),
+        coeffs=coeffs,
         residual_norm=float(_field(doc, "residual_norm", (int, float), path)),
     )
-    if doc.get("sample_ids") is None:
-        return decomposition, None
-    return decomposition, tuple(_list_of(doc, "sample_ids", str, path))
+    return decomposition, ids

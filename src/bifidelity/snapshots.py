@@ -26,8 +26,9 @@ class SnapshotMatrix:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2:
             raise DimensionMismatch(f"snapshot data must be 2-D, got ndim={d.ndim}")
-        if d.shape[0] < 1 or d.shape[1] < 1:
-            raise DimensionMismatch("snapshot data must have at least one row and column")
+        # no columns is legal: the high-fidelity skeleton of a rank-0 rule
+        if d.shape[0] < 1:
+            raise DimensionMismatch("snapshot data must have at least one row")
         if not np.all(np.isfinite(d)):
             raise NonFiniteInput("snapshot data contains NaN or Inf entries")
         ids = tuple(str(s) for s in self.sample_ids)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bifidelity
 from bifidelity.cli import cli_main
 from bifidelity.snapio import read_id, read_snapshots, write_snapshots
 from bifidelity.lifting import required_samples
@@ -363,3 +366,65 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_rank_zero_pipeline(tmp_path, capsys):
+    """An all-zero ensemble: decompose --tol -> samples (none) -> lift."""
+    ids = tuple(f"z{j}" for j in range(6))
+    write_snapshots(SnapshotMatrix(np.zeros((3, 6)), ids), tmp_path / "z.low.bfsm")
+    write_snapshots(SnapshotMatrix(np.zeros((4, 0)), ()), tmp_path / "z.skel.bfsm")
+    id_path = tmp_path / "z.id.json"
+    assert cli_main(["decompose", "--low", str(tmp_path / "z.low.bfsm"),
+                     "--tol", "1e-3", "--out-id", str(id_path)]) == 0
+    assert "rank: 0" in capsys.readouterr().out
+    assert cli_main(["samples", "--id", str(id_path)]) == 0
+    assert capsys.readouterr().out == ""
+    est = tmp_path / "z.est.bfsm"
+    assert cli_main(["lift", "--id", str(id_path), "--high-skeleton",
+                     str(tmp_path / "z.skel.bfsm"), "--out", str(est)]) == 0
+    back = read_snapshots(est)
+    assert back.sample_ids == ids
+    assert back.data.shape == (4, 6) and not back.data.any()
+    # without sample_ids nothing in the file records the sample count
+    doc = json.loads(id_path.read_text())
+    doc["sample_ids"] = doc["required_sample_ids"] = None
+    id_path.write_text(json.dumps(doc))
+    _assert_data_error(capsys, ["samples", "--id", str(id_path)])
+
+
+def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
+    """Only generate (the diffusion model's banded solve) imports scipy, so
+    the other commands run on numpy's BLAS runtime alone."""
+    files = {k: str(v) for k, v in diffusion_files.items()}
+    script = textwrap.dedent(f"""
+        import sys
+        from bifidelity.cli import cli_main
+        from bifidelity.lifting import required_samples
+        from bifidelity.snapio import read_id, read_snapshots, write_snapshots
+
+        def run(*argv):
+            assert cli_main(list(argv)) == 0, argv
+
+        d, f = {str(tmp_path)!r}, {files!r}
+        run("decompose", "--low", f["low"], "--rank", "4", "--out-id", d + "/r.json")
+        run("decompose", "--low", f["low"], "--tol", "1e-3", "--out-id", d + "/t.json")
+        run("samples", "--id", d + "/r.json")
+        dec, ids = read_id(d + "/r.json")
+        high = read_snapshots(f["high"])
+        need = required_samples(dec, ids)
+        write_snapshots(high.columns([high.sample_ids.index(s) for s in need]),
+                        d + "/skel.bfsm")
+        run("lift", "--id", d + "/r.json", "--high-skeleton", d + "/skel.bfsm",
+            "--out", d + "/est.bfsm")
+        run("bound", "--low", f["low"], "--high-sub", f["sub"], "--rank", "4")
+        run("efficacy", "--high", f["high"], "--low", f["low"], "--rank", "4",
+            "--n", "10", "--trials", "2")
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+        run("generate", "diffusion", "--samples", "5", "--out", d + "/gen")
+        print("scipy.linalg" in sys.modules)
+    """)
+    src = str(Path(bifidelity.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"  # generate loaded it itself

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bifidelity.interp as interp
@@ -12,6 +13,7 @@ from bifidelity.interp import (
     reconstruct,
 )
 from bifidelity.linalg import pivoted_qr, spectral_norm
+from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
 from oracles import id_by_rank_scan, qr_rank_by_norm, random_matrix_with_spectrum
@@ -294,3 +296,72 @@ def test_tolerance_mode_equals_fixed_rank_bitwise(problem):
 def test_pivoted_qr_tolerance_rank_matches_norm_per_step(problem):
     _, low, _, tol = problem
     assert pivoted_qr(low, tol=tol)[3] == qr_rank_by_norm(low, tol)
+
+
+# --------------------------------------------------------------------------
+# the coefficient solve against scipy's triangular solve (the test oracle)
+# --------------------------------------------------------------------------
+
+def _leading_factors(low, rank):
+    _, r, _, rank = pivoted_qr(low, rank=rank)
+    return r[:rank, :rank], r[:rank, rank:]
+
+
+def _condition(r11):
+    s = np.linalg.svd(r11, compute_uv=False)
+    return np.inf if s[-1] == 0.0 else s[0] / s[-1]
+
+
+@st.composite
+def well_conditioned_factors(draw):
+    """(R11, R12) of a tall or wide matrix with a geometric spectrum, cut at
+    a rank whose R11 stays well conditioned and whose R12 has >= 2 columns."""
+    m = draw(st.integers(2, 60))
+    n = draw(st.integers(3, 120))
+    ratio = draw(st.floats(0.2, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = random_matrix_with_spectrum(rng, m, n, ratio ** np.arange(min(m, n)))
+    # s_1 / s_rank = ratio^(1 - rank) stays below 1e6
+    top = 1 + int(np.log(1e-6) / np.log(ratio))
+    return _leading_factors(low, draw(st.integers(1, min(m, n - 2, top))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_conditioned_factors())
+def test_coefficient_block_equals_triangular_solve_bitwise(factors):
+    r11, r12 = factors
+    assume(_condition(r11) <= ILL_CONDITION_LIMIT)
+    z = interp._solve_coefficient_block(r11, r12)
+    assert z.tobytes() == scipy.linalg.solve_triangular(r11, r12).tobytes()
+
+
+@pytest.mark.parametrize("mesh,rank", [(16, 10), (256, 22), (256, 23)])
+def test_coefficient_solve_bitwise_on_benchmark_shapes(mesh, rank):
+    """16 x 2000 and 256 x 2000 diffusion ensembles; at ranks 22 and 23 R11
+    is ill conditioned, so build_id takes the pseudo-inverse there."""
+    cfg = DiffusionConfig(mesh_low=mesh, mesh_high=mesh)
+    _, low = diffusion_pair(draw_diffusion_samples(2000, seed=1, cfg=cfg), cfg)
+    r11, r12 = _leading_factors(low.data, rank)
+    expected = scipy.linalg.solve_triangular(r11, r12)
+    assert np.linalg.solve(r11, r12).tobytes() == expected.tobytes()
+    if _condition(r11) <= ILL_CONDITION_LIMIT:
+        assert interp._solve_coefficient_block(r11, r12).tobytes() == expected.tobytes()
+
+
+def test_one_column_coefficient_block_agrees_to_rounding():
+    """At rank n - 1 R12 is one column: numpy's solve and scipy's transposed
+    triangular solve use different single-vector kernels and may differ in
+    the last bits, by far less than cond(R11) * eps."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        m, n = int(rng.integers(3, 40)), int(rng.integers(3, 40))
+        if n - 1 > m:
+            continue
+        low = random_matrix_with_spectrum(rng, m, n, 0.6 ** np.arange(min(m, n)))
+        r11, r12 = _leading_factors(low, n - 1)
+        cond = _condition(r11)
+        if cond > ILL_CONDITION_LIMIT:
+            continue
+        z = interp._solve_coefficient_block(r11, r12)
+        expected = scipy.linalg.solve_triangular(r11, r12)
+        assert np.max(np.abs(z - expected)) <= 1e-15 * cond * np.max(np.abs(expected))

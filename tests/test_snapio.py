@@ -1,16 +1,32 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from bifidelity.bound import GramianPair, minimize_bound, write_bound_report
 from bifidelity.errors import (
     BadMagic,
+    DataError,
+    DimensionMismatch,
     NonFiniteEntry,
     TruncatedPayload,
     VersionUnsupported,
 )
 from bifidelity.interp import build_id
-from bifidelity.snapio import read_id, read_snapshots, write_id, write_snapshots
+from bifidelity.linalg import singular_values
+from bifidelity.snapio import (
+    _atomic_write,
+    read_id,
+    read_snapshots,
+    write_id,
+    write_snapshots,
+)
 from bifidelity.snapshots import SnapshotMatrix
 
 
@@ -188,3 +204,148 @@ def test_id_file_rejects_other_json(tmp_path):
     path.write_text('{"format": "other"}')
     with pytest.raises(BadMagic):
         read_id(path)
+
+
+def test_rank_zero_id_file_round_trip(tmp_path):
+    dec = build_id(np.zeros((3, 5)), tol=1e-3)
+    path = tmp_path / "zero.json"
+    write_id(dec, path, sample_ids=[f"z{j}" for j in range(5)])
+    back, ids = read_id(path)
+    assert back.rank == 0 and back.coeffs.shape == (0, 5)
+    assert back.skeleton.shape == (3, 0)
+    assert ids == tuple(f"z{j}" for j in range(5))
+    with pytest.raises(DimensionMismatch):
+        write_id(dec, tmp_path / "bare.json")  # would not record the sample count
+
+
+# --------------------------------------------------------------------------
+# any ids and values round-trip, or the writer says why it cannot
+# --------------------------------------------------------------------------
+
+# every code point, lone surrogates included, with the characters the CSV
+# form treats specially and a magic-like prefix drawn often
+ANY_ID = st.tuples(
+    st.sampled_from(["", "", "BFSM"]),
+    st.text(st.sampled_from(',"\r\n \0') | st.characters(exclude_categories=()),
+            max_size=8),
+).map("".join)
+
+
+def _csv_cannot_carry(ids):
+    return ids[0].startswith("BFSM") or any(
+        "\0" in s or any(0xD800 <= ord(c) < 0xE000 for c in s) for s in ids
+    )
+
+
+@st.composite
+def snapshot_matrices(draw):
+    ids = draw(st.lists(ANY_ID, min_size=1, max_size=5, unique=True))
+    data = draw(hnp.arrays(
+        np.float64, (draw(st.integers(1, 4)), len(ids)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    return SnapshotMatrix(data=data, sample_ids=tuple(ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=snapshot_matrices(), fmt=st.sampled_from(["bfsm", "csv"]))
+@example(m=SnapshotMatrix(np.ones((1, 2)), ("x\ry", "b")), fmt="csv")
+@example(m=SnapshotMatrix(np.ones((1, 2)), (" a", "b ")), fmt="csv")
+@example(m=SnapshotMatrix(np.ones((1, 1)), ("",)), fmt="csv")
+def test_any_ids_and_values_round_trip(tmp_path_factory, m, fmt):
+    path = tmp_path_factory.mktemp("ids") / f"m.{fmt}"
+    try:
+        write_snapshots(m, path, fmt=fmt)
+    except DataError:
+        assert fmt == "csv" and _csv_cannot_carry(m.sample_ids)
+        assert not path.exists()
+        return
+    back = read_snapshots(path)
+    assert back.sample_ids == m.sample_ids
+    assert back.data.tobytes() == m.data.tobytes()
+    plain = not any(c in s for s in m.sample_ids for c in ',"\n\r')
+    if fmt == "csv" and plain and m.sample_ids != ("",):
+        header = path.read_bytes().split(b"\n")[0]
+        assert header == ",".join(m.sample_ids).encode("utf-8")
+
+
+def test_csv_rejects_what_it_cannot_carry(tmp_path):
+    data = np.ones((2, 2))
+    for ids in [("a\0b", "c"), ("a", "\ud800"), ("BFSM-1", "c"),
+                ("a", "x" * (2**17 + 1))]:
+        with pytest.raises(DataError):
+            write_snapshots(SnapshotMatrix(data, ids), tmp_path / "m.csv", fmt="csv")
+    with pytest.raises(DataError):
+        write_snapshots(SnapshotMatrix(np.ones((2, 0)), ()), tmp_path / "m.csv", fmt="csv")
+    # quoting keeps a magic-like id clear of the sniffer, and BFSM carries all
+    for ids, fmt in [(("BFSM,1", "c"), "csv"), (("BFSM-1", "\0\ud800"), "bfsm")]:
+        write_snapshots(SnapshotMatrix(data, ids), tmp_path / "ok", fmt=fmt)
+        assert read_snapshots(tmp_path / "ok").sample_ids == ids
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_zero_column_binary_round_trip(tmp_path):
+    m = SnapshotMatrix(np.ones((3, 0)), ())
+    write_snapshots(m, tmp_path / "empty.bfsm")
+    back = read_snapshots(tmp_path / "empty.bfsm")
+    assert back.data.shape == (3, 0) and back.sample_ids == ()
+
+
+# --------------------------------------------------------------------------
+# whole-file writes
+# --------------------------------------------------------------------------
+
+def _tiny_report():
+    rng = np.random.default_rng(3)
+    high = SnapshotMatrix.from_array(rng.standard_normal((4, 6)))
+    low = SnapshotMatrix.from_array(rng.standard_normal((3, 6)))
+    dec = build_id(low, rank=2)
+    return minimize_bound(GramianPair.full(high, low), singular_values(low.data),
+                          dec.coeff_norm(), dec.residual_norm)
+
+
+WRITERS = {
+    "bfsm": lambda path: write_snapshots(sample_matrix(seed=1), path),
+    "csv": lambda path: write_snapshots(sample_matrix(seed=1), path, fmt="csv"),
+    "id": lambda path: write_id(build_id(sample_matrix(seed=1), rank=2), path),
+    "report": lambda path: write_bound_report(_tiny_report(), path),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write):
+    target = tmp_path / "out"
+    target.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write(target)
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]  # no temp left
+
+
+def test_atomic_write_gives_the_plain_open_mode_and_follows_symlinks(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    _atomic_write(tmp_path / "new", b"data")
+    assert stat.S_IMODE(os.stat(tmp_path / "new").st_mode) == stat.S_IMODE(
+        os.stat(plain).st_mode)
+    link = tmp_path / "link"
+    link.symlink_to(plain)
+    _atomic_write(link, b"through")
+    assert link.is_symlink() and plain.read_bytes() == b"through"
+
+
+def test_atomic_write_feeds_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    _atomic_write(fifo, b"data")
+    reader.join(10)
+    assert got == [b"data"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
