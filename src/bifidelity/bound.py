@@ -27,7 +27,7 @@ guarantee.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,11 @@ __all__ = [
 
 #: Relative noise floor below which a true error makes ratios meaningless.
 DEGENERATE_ERROR_RTOL = 1e-14
+
+#: Largest stacked (chunk, n, n) array one eps eigensolve call takes. A chunk
+#: of small pencils pays the per-call overhead once; the bound keeps a sweep's
+#: temporaries at a few such arrays whatever the grid size.
+EPS_CHUNK_BYTES = 256 * 1024
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +157,12 @@ class GramianPair:
     ``gh`` and ``gl`` are n x n and built from the same column indices of
     both ensembles; ``c = n_total / n_sub`` is the scaling that compensates
     for the sub-sampling in eps_hat.
+
+    When :meth:`from_columns` gets sub-sampled columns Hs (dim_h x n) and Ls
+    (dim_l x n) with p = dim_h + dim_l < n, the pair also keeps the p x p
+    pencil ``core_h = (Hs Q)^T (Hs Q)``, ``core_l = (Ls Q)^T (Ls Q)``, with
+    Q (n x p) the orthonormal factor of the reduced QR of [Hs; Ls]^T; eps is
+    then read off that pencil (see :func:`epsilon_estimated`).
     """
 
     gh: np.ndarray
@@ -159,6 +170,8 @@ class GramianPair:
     n_sub: int
     n_total: int
     c: float
+    _pencil: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gh = _as_matrix(self.gh, "gh")
@@ -196,8 +209,18 @@ class GramianPair:
                 f"column counts differ: {hc.shape[1]} vs {lc.shape[1]}"
             )
         n = hc.shape[1]
-        return cls(gh=hc.T @ hc, gl=lc.T @ lc, n_sub=n, n_total=int(n_total),
+        pair = cls(gh=hc.T @ hc, gl=lc.T @ lc, n_sub=n, n_total=int(n_total),
                    c=n_total / n)
+        if hc.shape[0] + lc.shape[0] < n:
+            # Gh - tau Gl = Q (core_h - tau core_l) Q^T: the Gramians are
+            # projected, not rebuilt from R, so H == L still cancels exactly
+            q, _ = np.linalg.qr(np.vstack((hc, lc)).T)
+            hq, lq = hc @ q, lc @ q
+            pencil = (hq.T @ hq, lq.T @ lq)
+            for g in pencil:
+                g.flags.writeable = False
+            object.__setattr__(pair, "_pencil", pencil)
+        return pair
 
     @classmethod
     def from_snapshots(cls, high: SnapshotMatrix, low: SnapshotMatrix,
@@ -227,19 +250,39 @@ def _check_tau(tau: float) -> float:
     return t
 
 
-def epsilon_exact(high: SnapshotMatrix, low: SnapshotMatrix, tau: float) -> float:
+def epsilon_exact(high: SnapshotMatrix, low: SnapshotMatrix, tau):
     """lambda_max(H^T H - tau L^T L) from the full aligned ensembles."""
-    t = _check_tau(tau)
-    aligned_sample_ids(high, low)
-    gh = high.data.T @ high.data
-    gl = low.data.T @ low.data
-    return lambda_max_symmetric(gh - t * gl)
+    return epsilon_estimated(GramianPair.full(high, low), tau)
 
 
-def epsilon_estimated(pair: GramianPair, tau: float) -> float:
-    """c * lambda_max(Gh_hat - tau Gl_hat); may be negative."""
-    t = _check_tau(tau)
-    return pair.c * lambda_max_symmetric(pair.gh - t * pair.gl)
+def epsilon_estimated(pair: GramianPair, tau):
+    """c * lambda_max(Gh_hat - tau Gl_hat); may be negative.
+
+    ``tau`` is a scalar (the result is a float) or a 1-D array (the result is
+    an array, entry by entry equal to the scalar call). The pencils of all
+    tau go to the eigensolver in chunks of at most ``EPS_CHUNK_BYTES`` each.
+
+    For a pair carrying the reduced p x p pencil (see :class:`GramianPair`)
+    the result is c * max(lambda_max(core_h - tau core_l), 0): the n x n
+    pencil has the same nonzero eigenvalues plus n - p zeros.
+    """
+    taus = np.asarray(tau, dtype=np.float64)
+    if taus.ndim > 1:
+        raise DimensionMismatch(f"tau must be a scalar or 1-D, got ndim={taus.ndim}")
+    flat = taus.reshape(-1)
+    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
+    if bad.size:
+        raise NegativeTau(f"tau must be finite and >= 0, got {bad[0]}")
+    gh, gl = pair._pencil or (pair.gh, pair.gl)
+    step = max(1, EPS_CHUNK_BYTES // gh.nbytes)
+    lam = np.empty(flat.size)
+    for start in range(0, flat.size, step):
+        t = flat[start:start + step, None, None]
+        lam[start:start + step] = lambda_max_symmetric(gh - t * gl)
+    if pair._pencil is not None:
+        lam = np.maximum(lam, 0.0)
+    eps = pair.c * lam
+    return float(eps[0]) if taus.ndim == 0 else eps
 
 
 # --------------------------------------------------------------------------
@@ -332,14 +375,14 @@ def _argmin_first(values: np.ndarray) -> int:
 def _sweep(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
            id_residual: float, grid, *, two_tau: bool, subsample_seed,
            subsample_indices) -> BoundReport:
-    """eps_hat once per grid point, the rho term grids, and their minimizer.
+    """eps_hat over the grid in one call, the rho term grids, and their minimizer.
 
     With ``two_tau`` the B1 and B2 terms are minimized over tau separately
     for each k before minimizing over k; otherwise rho = B1 + B2 is
     minimized over (tau, k) jointly.
     """
     g = _validate_grid(default_tau_grid() if grid is None else grid)
-    eps = np.asarray([epsilon_estimated(pair, t) for t in g])
+    eps = epsilon_estimated(pair, g)
     term1, term2 = _rho_terms(g, eps, sigma, cl_norm, id_residual)
     rho_grid = term1 + term2
     if two_tau:
@@ -426,7 +469,10 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
 
     Sub-sampling is uniform without replacement from a PRNG seeded with
     ``seed``. A warning is emitted when rank > n_sub: in that regime the
-    estimate is known to under-shoot.
+    estimate is known to under-shoot. A trial whose every (k, tau)
+    combination is invalid aborts the study with
+    :class:`AllCombinationsInvalid` naming the trial: a ratio over the
+    remaining trials would hide that the grid missed the feasible set.
     """
     aligned_sample_ids(high, low)
     n_total = low.n_samples
@@ -461,10 +507,13 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
     for t in range(trials):
         idx = np.sort(rng.choice(n_total, size=n_sub, replace=False))
         pair = GramianPair.from_snapshots(high, low, idx)
-        report = minimize_bound(
-            pair, sigma, cl_norm, id_residual, grid,
-            subsample_seed=seed, subsample_indices=idx,
-        )
+        try:
+            report = minimize_bound(
+                pair, sigma, cl_norm, id_residual, grid,
+                subsample_seed=seed, subsample_indices=idx,
+            )
+        except AllCombinationsInvalid as exc:
+            raise AllCombinationsInvalid(f"trial {t}: {exc}") from exc
         ratios[t] = report.best_rho / true_error
     return EfficacyResult(
         ratios=ratios,
@@ -503,9 +552,14 @@ def write_bound_report(report: BoundReport, path) -> None:
 
     One row per (k, tau) ordered by k then tau, columns
     ``k,tau,eps_hat,rho,valid``; invalid combinations carry rho = nan and
-    valid = false. The final summary row holds best_k, best_tau, eps_hat at
-    the best tau, best_rho, and the literal ``summary`` in the valid column.
-    Numbers use shortest round-trip formatting.
+    valid = false. Numbers use shortest round-trip formatting.
+
+    A single-tau report ends with one summary row: best_k, best_tau, eps_hat
+    at best_tau, best_rho, and the literal ``summary`` in the valid column.
+    A two-tau report ends with three rows instead: ``b1`` (best_k, best_tau,
+    eps_hat at best_tau, b1), ``b2`` (best_k, best_tau2, eps_hat at
+    best_tau2, b2), then ``summary`` with best_k and best_rho = b1 + b2 and
+    empty tau and eps_hat fields, since no single tau produces it.
     """
     g = report.tau_grid
     eps = report.eps_values
@@ -518,9 +572,15 @@ def write_bound_report(report: BoundReport, path) -> None:
                 f"{k},{float(g[i])!r},{float(eps[i])!r},{val!r},"
                 f"{'true' if ok else 'false'}"
             )
-    best_ti = int(np.flatnonzero(g == report.best_tau)[0])
-    lines.append(
-        f"{report.best_k},{report.best_tau!r},{float(eps[best_ti])!r},"
-        f"{report.best_rho!r},summary"
-    )
+
+    def row(tau, value, tag):
+        ti = int(np.flatnonzero(g == tau)[0])
+        return f"{report.best_k},{tau!r},{float(eps[ti])!r},{value!r},{tag}"
+
+    if report.best_tau2 is None:
+        lines.append(row(report.best_tau, report.best_rho, "summary"))
+    else:
+        lines.append(row(report.best_tau, report.b1, "b1"))
+        lines.append(row(report.best_tau2, report.b2, "b2"))
+        lines.append(f"{report.best_k},,,{report.best_rho!r},summary")
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -331,6 +331,11 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeEncodeError as exc:
+        # a sample id stdout cannot encode, such as a lone surrogate (BFSM
+        # sidecars carry any string)
+        print(f"data error: cannot print a sample id: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -200,22 +200,26 @@ def singular_values(a) -> SingularSpectrum:
     return SingularSpectrum(s)
 
 
-def lambda_max_symmetric(s) -> float:
+def lambda_max_symmetric(s):
     """Largest eigenvalue of a symmetric matrix; may be negative.
 
-    The input is symmetrized as (S + S^T)/2 before solving, so mild
-    asymmetry from accumulated roundoff is harmless.
+    ``s`` is one n x n matrix (the result is a float) or a stack of shape
+    (..., n, n) (the result is an array of shape ``s.shape[:-2]``, entry by
+    entry equal to the one-matrix call). Each matrix is symmetrized as
+    (S + S^T)/2 before solving, so mild asymmetry from accumulated roundoff
+    is harmless.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("matrix contains NaN or Inf entries")
-    sym = 0.5 * (s + s.T)
+    sym = 0.5 * (s + np.swapaxes(s, -1, -2))
     try:
-        return float(np.linalg.eigvalsh(sym)[-1])
+        lam = np.linalg.eigvalsh(sym)[..., -1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
+    return float(lam) if s.ndim == 2 else lam
 
 
 def spectral_norm(a) -> float:

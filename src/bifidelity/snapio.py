@@ -106,7 +106,9 @@ def _load_json(path) -> dict:
     """A JSON object from ``path``; :class:`MalformedFile` if it is none."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past Python's
+        # digit limit; RecursionError comes from very deep nesting
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedFile(f"{path}: expected a JSON object")
@@ -197,6 +199,10 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
         raise BadMagic(f"{path}: expected magic {MAGIC!r}, found {magic!r}")
     if version != VERSION:
         raise VersionUnsupported(f"{path}: unsupported version {version}")
+    if max(dim, n_samples) > np.iinfo(np.intp).max:
+        # a zero count would let the size check below pass
+        raise DimensionMismatch(f"{path}: header shape {dim} x {n_samples} "
+                                "exceeds the largest array dimension")
     expected = _HEADER.size + 8 * dim * n_samples
     if len(raw) < expected:
         raise TruncatedPayload(

@@ -9,7 +9,9 @@ The exception is the pair of tolerance-mode references at the end: they are
 the straightforward stopping rules (a 2-norm before every QR step, and a
 full-rank factorisation scanned rank by rank) that the package's
 tolerance mode shortcuts, so they check the rank choice, not the
-factorisation.
+factorisation. Likewise ``eps_full_eigvalsh`` calls LAPACK as the package
+does, but on the unreduced n x n pencil, so it checks the package's
+reduction to the p x p pencil, not the eigensolver.
 """
 
 import numpy as np
@@ -138,6 +140,14 @@ def mgs_pivot_order(a, steps):
         for j in alive:
             w[:, j] -= q * float(q @ w[:, j])
     return order
+
+
+def eps_full_eigvalsh(gh, gl, c, tau):
+    """c * lambda_max(Gh - tau Gl) by one full n x n LAPACK eigensolve per
+    tau, with no reduction of the pencil: the reference for the reduced
+    p x p pencil the package uses when dim_h + dim_l < n."""
+    return np.array([c * np.linalg.eigvalsh(gh - t * gl)[-1]
+                     for t in np.atleast_1d(tau)])
 
 
 def random_matrix_with_spectrum(rng, rows, cols, sigmas):

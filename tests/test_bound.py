@@ -1,9 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifidelity.bound import (
+    EPS_CHUNK_BYTES,
     GramianPair,
     default_tau_grid,
     efficacy_study,
@@ -23,6 +27,7 @@ from bifidelity.errors import (
     EmptyGrid,
     KOutOfRange,
     NegativeTau,
+    NonFiniteInput,
     SampleMismatch,
 )
 from bifidelity.interp import build_id
@@ -30,7 +35,7 @@ from bifidelity.linalg import SingularSpectrum, singular_values, spectral_norm
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import max_quadratic_form, random_matrix_with_spectrum
+from oracles import eps_full_eigvalsh, max_quadratic_form, random_matrix_with_spectrum
 
 
 def snap(data, prefix="s"):
@@ -172,6 +177,104 @@ def test_epsilon_exact_monotone_and_bounded():
     assert abs(eps[0] - h2) <= 1e-10 * h2
     assert np.all(np.diff(eps) <= 1e-10 * h2)
     assert np.all(eps <= h2 * (1 + 1e-12))
+
+
+# --------------------------------------------------------------------------
+# the eps kernel: tau arrays, chunks and the reduced pencil
+# --------------------------------------------------------------------------
+
+def kernel_pair(regime, seed=0):
+    """(pair, pencil size): n x n Gramians when dim_h + dim_l >= n, the
+    reduced p x p pencil when p = dim_h + dim_l < n."""
+    rng = np.random.default_rng(seed)
+    dims, n = {"full": ((14, 12), 24), "reduced": ((4, 3), 30)}[regime]
+    low = rng.standard_normal((dims[1], n))
+    high = rng.standard_normal((dims[0], dims[1])) @ low \
+        + 0.05 * rng.standard_normal((dims[0], n))
+    size = n if regime == "full" else sum(dims)
+    return GramianPair.from_columns(high, low, n_total=3 * n), size
+
+
+@pytest.mark.parametrize("regime", ["full", "reduced"])
+def test_epsilon_estimated_array_equals_scalar_calls(regime):
+    pair, size = kernel_pair(regime)
+    chunk = max(1, EPS_CHUNK_BYTES // (8 * size * size))
+    for count in sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 202}):
+        grid = np.concatenate(([0.0], 10.0 ** np.linspace(-4.0, 4.0, count - 1)))
+        eps = epsilon_estimated(pair, grid)
+        assert eps.shape == (count,)
+        assert np.array_equal(eps, [epsilon_estimated(pair, t) for t in grid]), count
+    assert isinstance(epsilon_estimated(pair, 0.5), float)
+    assert epsilon_estimated(pair, np.array([])).shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim_h=st.integers(1, 12),
+       dim_l=st.integers(1, 12), extra=st.integers(1, 30),
+       spread=st.integers(1, 4), c_mult=st.integers(1, 5))
+def test_reduced_pencil_matches_full_eigensolve(seed, dim_h, dim_l, extra, spread,
+                                               c_mult):
+    rng = np.random.default_rng(seed)
+    n = dim_h + dim_l + extra
+    low = rng.standard_normal((dim_l, n))
+    high = rng.standard_normal((dim_h, n)) * 10.0 ** rng.uniform(-spread, spread)
+    pair = GramianPair.from_columns(high, low, n_total=c_mult * n)
+    taus = np.concatenate(([0.0], 10.0 ** rng.uniform(-6.0, 6.0, 12), [1.0]))
+    eps = epsilon_estimated(pair, taus)
+    oracle = eps_full_eigvalsh(pair.gh, pair.gl, pair.c, taus)
+    scale = pair.c * (np.linalg.norm(pair.gh, 2) + taus * np.linalg.norm(pair.gl, 2))
+    assert np.all(np.abs(eps - oracle) <= 1e-13 * scale)
+    assert np.all(eps >= 0.0)  # the n - p zero eigenvalues floor it
+
+
+def test_equal_gramians_cancel_exactly_in_the_reduced_pencil():
+    low = SnapshotMatrix.from_array(np.random.default_rng(7).standard_normal((6, 20)))
+    pair = GramianPair.full(low, low)  # 2 * 6 < 20: the reduced pencil
+    assert epsilon_estimated(pair, 1.0) == 0.0
+    assert epsilon_estimated(pair, np.array([1.0]))[0] == 0.0
+
+
+def test_reduced_pencil_is_floored_at_zero():
+    """With H = 0 the pencil is -tau Gl, whose top eigenvalue is exactly 0
+    (rank Gl <= dim_l < n); the p x p solve alone returns it as +-1e-16."""
+    taus = np.array([0.3, 2.0, 10.0, 1e3])
+    for seed in range(10):
+        low = np.random.default_rng(seed).standard_normal((5, 20))
+        pair = GramianPair.from_columns(np.zeros((3, 20)), low, n_total=20)
+        eps = epsilon_estimated(pair, taus)
+        assert np.all(eps >= 0.0), seed
+        assert np.all(eps <= 1e-13 * taus * np.linalg.norm(pair.gl, 2)), seed
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.parametrize("regime", ["full", "reduced"])
+def test_overflowing_tau_raises_nonfinite(regime):
+    pair, _ = kernel_pair(regime)
+    with pytest.raises(NonFiniteInput):
+        epsilon_estimated(pair, 1e308)
+    with pytest.raises(NonFiniteInput):
+        epsilon_estimated(pair, np.array([0.0, 1.0, 1e308]))
+    with pytest.raises(NegativeTau):
+        epsilon_estimated(pair, np.array([0.0, -1.0]))
+    with pytest.raises(NegativeTau):
+        epsilon_estimated(pair, np.array([0.0, np.nan]))
+
+
+def test_sweep_peak_memory_is_a_few_chunks():
+    """One 202-point sweep at n = 300: each 720 KB pencil exceeds a chunk,
+    so the sweep holds one at a time; stacking the grid would take 145 MB."""
+    n = 300
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((n + 5, n)), rng.standard_normal((n + 5, n))
+    pair = GramianPair(gh=a.T @ a, gl=b.T @ b, n_sub=n, n_total=n, c=1.0)
+    grid = default_tau_grid()
+    tracemalloc.start()
+    try:
+        epsilon_estimated(pair, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * max(EPS_CHUNK_BYTES, 8 * n * n)
 
 
 # --------------------------------------------------------------------------

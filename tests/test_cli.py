@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 import bifidelity
 from bifidelity.cli import cli_main
+from bifidelity.errors import DataError
 from bifidelity.snapio import read_id, read_snapshots, write_snapshots
 from bifidelity.lifting import required_samples
 from bifidelity.linalg import spectral_norm
@@ -428,3 +432,213 @@ def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "True"  # generate loaded it itself
+
+
+# --------------------------------------------------------------------------
+# bound report in both modes, read back through the CLI's own stdout
+# --------------------------------------------------------------------------
+
+def _stdout_fields(out):
+    return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+
+
+@pytest.mark.parametrize("two_tau", [False, True], ids=["single", "two-tau"])
+def test_bound_report_round_trip(diffusion_files, tmp_path, capsys, two_tau):
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert cli_main(_command("bound", diffusion_files) + ["--out", str(report)]
+                    + (["--two-tau"] if two_tau else [])) == 0
+    fields = _stdout_fields(capsys.readouterr().out)
+    lines = report.read_text().splitlines()
+    assert lines[0] == "k,tau,eps_hat,rho,valid"
+    body = [line.split(",") for line in lines[1:] if line.split(",")[4] in ("true", "false")]
+    tail = [line.split(",") for line in lines[1 + len(body):]]
+    eps_at = {float(row[1]): float(row[2]) for row in body}
+    best_k, best_rho = int(fields["best_k"]), float(fields["best_rho"])
+    if not two_tau:
+        assert [row[4] for row in tail] == ["summary"]
+        k, tau, eps_hat, value, _ = tail[0]
+        assert float(tau) == float(fields["best_tau"])
+        assert float(eps_hat) == eps_at[float(tau)]
+        # the single-tau summary is the body cell it names
+        assert [k, tau, eps_hat, value, "true"] in body
+        assert (int(k), float(value)) == (best_k, best_rho)
+        return
+    assert [row[4] for row in tail] == ["b1", "b2", "summary"]
+    (k1, tau1, eps1, b1, _), (k2, tau2, eps2, b2, _), summary = tail
+    assert int(k1) == int(k2) == int(summary[0]) == best_k
+    assert (float(tau1), float(tau2)) == (float(fields["best_tau"]),
+                                         float(fields["best_tau2"]))
+    assert (float(eps1), float(eps2)) == (eps_at[float(tau1)], eps_at[float(tau2)])
+    assert (float(b1), float(b2)) == (float(fields["b1"]), float(fields["b2"]))
+    assert summary[1:3] == ["", ""]
+    assert float(summary[3]) == best_rho == float(b1) + float(b2)
+
+
+# --------------------------------------------------------------------------
+# mutated snapshot files: exit 2 with one line, never a traceback
+# --------------------------------------------------------------------------
+
+MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(0, 7)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 2**16), st.just(0)),
+    st.tuples(st.just("cut"), st.integers(0, 2**16), st.just(0)),
+)
+
+
+def _mutate(data: bytes, ops) -> bytes:
+    out = bytearray(data)
+    for op, pos, arg in ops:
+        i = pos % (len(out) + 1)
+        if op == "insert":
+            out[i:i] = bytes([arg])
+        elif op == "cut":
+            del out[i:]
+        elif i < len(out):
+            if op == "set":
+                out[i] = arg
+            elif op == "flip":
+                out[i] ^= 1 << arg
+            else:
+                del out[i]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def snapshot_bytes(tmp_path_factory):
+    """Payload and sidecar bytes of one small matrix in both formats."""
+    d = tmp_path_factory.mktemp("pristine")
+    m = SnapshotMatrix(np.random.default_rng(3).standard_normal((3, 4)),
+                       ("a", "b,c", 'd"e', "f"))
+    files = {}
+    for fmt in ("bfsm", "csv"):
+        write_snapshots(m, d / f"m.{fmt}", fmt=fmt)
+        files[fmt] = ((d / f"m.{fmt}").read_bytes(),
+                      Path(f"{d / f'm.{fmt}'}.json").read_bytes())
+    return files
+
+
+def _decompose_mutated(directory, fmt, payload, sidecar):
+    """(exit code, stdout, stderr) of ``decompose`` on the given bytes, and
+    whether ``read_snapshots`` accepts them."""
+    path = directory / f"m.{fmt}"
+    path.write_bytes(payload)
+    Path(f"{path}.json").write_bytes(sidecar)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["decompose", "--low", str(path), "--rank", "1",
+                         "--out-id", str(directory / "id.json")])
+    try:
+        read_snapshots(path)
+        readable = True
+    except DataError:
+        readable = False
+    return code, out.getvalue(), err.getvalue(), readable
+
+
+def _assert_one_line_data_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(["bfsm", "csv"]),
+       target=st.sampled_from(["payload", "sidecar"]),
+       ops=st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_snapshot_file_exits_two_or_reads(snapshot_bytes, tmp_path_factory,
+                                                  fmt, target, ops):
+    payload, sidecar = snapshot_bytes[fmt]
+    if target == "payload":
+        payload = _mutate(payload, ops)
+    else:
+        sidecar = _mutate(sidecar, ops)
+    code, out, err, readable = _decompose_mutated(
+        tmp_path_factory.mktemp("mut"), fmt, payload, sidecar)
+    # a mutation may leave a well-formed file (a changed digit or id);
+    # everything else is a one-line data error, never a traceback
+    if not readable:
+        _assert_one_line_data_error(code, out, err)
+    else:
+        assert code in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from([("bfsm", "payload"), ("bfsm", "header"),
+                             ("bfsm", "sidecar"), ("csv", "sidecar")]),
+       pos=st.integers(0, 2**16), byte=st.integers(0, 255))
+def test_truncated_file_or_corrupt_header_always_exits_two(snapshot_bytes,
+                                                           tmp_path_factory,
+                                                           case, pos, byte):
+    fmt, target = case
+    payload, sidecar = snapshot_bytes[fmt]
+    if target == "sidecar":
+        # cut before the closing brace: never a complete JSON document
+        sidecar = sidecar[:pos % sidecar.rindex(b"}")]
+    elif target == "payload":
+        payload = payload[:pos % len(payload)]
+    else:  # magic, version or shape: any change breaks the file
+        i = pos % 24
+        new = byte if byte != payload[i] else byte ^ 1
+        payload = payload[:i] + bytes([new]) + payload[i + 1:]
+    code, out, err, readable = _decompose_mutated(
+        tmp_path_factory.mktemp("cut"), fmt, payload, sidecar)
+    assert not readable
+    _assert_one_line_data_error(code, out, err)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"sample_ids": ["a", "b", "c"], "n": ' + "1" * 5000 + "}",
+], ids=["deep-nesting", "long-integer"])
+def test_sidecar_past_json_limits_exits_two(tmp_path, capsys, text):
+    low = tmp_path / "low.bfsm"
+    write_snapshots(SnapshotMatrix.from_array(np.eye(3)), low)
+    Path(f"{low}.json").write_text(text)
+    _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+                                "--out-id", str(tmp_path / "id.json")])
+
+
+@pytest.mark.parametrize("dim,n", [(2**63, 0), (2**64 - 1, 0), (0, 2**63)])
+def test_bfsm_header_beyond_array_limits_exits_two(tmp_path, capsys, dim, n):
+    low = tmp_path / "low.bfsm"
+    low.write_bytes(struct.pack("<4sIQQ", b"BFSM", 1, dim, n))
+    _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+                                "--out-id", str(tmp_path / "id.json")])
+
+
+def test_samples_with_an_unprintable_id_exits_two(tmp_path, capsys):
+    """BFSM carries a lone surrogate id; stdout cannot encode it."""
+    low = tmp_path / "low.bfsm"
+    write_snapshots(SnapshotMatrix(np.eye(3), ("\ud800", "b", "c")), low)
+    assert cli_main(["decompose", "--low", str(low), "--rank", "1",
+                     "--out-id", str(tmp_path / "id.json")]) == 0
+    _assert_data_error(capsys, ["samples", "--id", str(tmp_path / "id.json")])
+
+
+# --------------------------------------------------------------------------
+# efficacy: one all-invalid trial aborts the study
+# --------------------------------------------------------------------------
+
+def test_efficacy_all_invalid_trial_exits_three(tmp_path, capsys):
+    """With L = I and H = 0.1 I every sub-sample of one column has
+    eps_hat = 2 (0.01 - tau) and every (k, tau) is invalid at tau = 10."""
+    ids = ("a", "b")
+    write_snapshots(SnapshotMatrix(0.1 * np.eye(2), ids), tmp_path / "h.bfsm")
+    write_snapshots(SnapshotMatrix(np.eye(2), ids), tmp_path / "l.bfsm")
+    capsys.readouterr()
+    assert cli_main([
+        "efficacy", "--high", str(tmp_path / "h.bfsm"), "--low", str(tmp_path / "l.bfsm"),
+        "--rank", "1", "--n", "1", "--trials", "3",
+        "--tau-min", "10", "--tau-max", "10", "--tau-count", "1",
+        "--out", str(tmp_path / "ratios.csv"),
+    ]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: trial 0: every (k, tau) combination had a negative radicand"
+    ]
+    assert not (tmp_path / "ratios.csv").exists()

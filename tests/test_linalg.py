@@ -158,6 +158,26 @@ def test_lambda_max_rejects_rectangular():
         lambda_max_symmetric(np.ones((2, 3)))
 
 
+def test_lambda_max_on_stacks():
+    rng = np.random.default_rng(41)
+    stack = rng.standard_normal((3, 4, 6, 6))
+    lam = lambda_max_symmetric(stack)
+    assert lam.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert lam[i, j] == lambda_max_symmetric(stack[i, j])
+    assert isinstance(lambda_max_symmetric(stack[0, 0]), float)
+    assert lambda_max_symmetric(np.zeros((0, 5, 5))).shape == (0,)
+    with pytest.raises(NotSquare):
+        lambda_max_symmetric(np.ones((2, 3, 4)))
+    with pytest.raises(NotSquare):
+        lambda_max_symmetric(np.ones(3))
+    bad = stack.copy()
+    bad[2, 1, 0, 0] = np.inf
+    with pytest.raises(NonFiniteInput):
+        lambda_max_symmetric(bad)
+
+
 def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((4, 2))) == 0.0
 
