@@ -17,7 +17,6 @@ from .bound import (
     efficacy_study,
     epsilon_estimated,
     epsilon_exact,
-    lifting_oracle_T,
     minimize_bound,
     minimize_bound_two_tau,
     refine_tau_grid,
@@ -65,7 +64,6 @@ __all__ = [
     "fit_coefficients",
     "lambda_max_symmetric",
     "lift",
-    "lifting_oracle_T",
     "minimize_bound",
     "minimize_bound_two_tau",
     "pivoted_qr",

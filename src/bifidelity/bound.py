@@ -46,10 +46,8 @@ from .linalg import (
     SingularSpectrum,
     _as_matrix,
     lambda_max_symmetric,
-    pseudo_inverse,
     singular_values,
     spectral_norm,
-    svd,
 )
 from .snapio import _atomic_write
 from .snapshots import SnapshotMatrix, aligned_sample_ids
@@ -67,7 +65,6 @@ __all__ = [
     "minimize_bound",
     "minimize_bound_two_tau",
     "efficacy_study",
-    "lifting_oracle_T",
     "write_bound_report",
 ]
 
@@ -243,11 +240,16 @@ class GramianPair:
         return cls.from_snapshots(high, low, range(low.n_samples))
 
 
-def _check_tau(tau: float) -> float:
-    t = float(tau)
-    if not np.isfinite(t) or t < 0.0:
-        raise NegativeTau(f"tau must be finite and >= 0, got {tau}")
-    return t
+def _check_tau(tau) -> np.ndarray:
+    """``tau`` as a float64 array, a scalar or 1-D, every entry finite and >= 0."""
+    taus = np.asarray(tau, dtype=np.float64)
+    if taus.ndim > 1:
+        raise DimensionMismatch(f"tau must be a scalar or 1-D, got ndim={taus.ndim}")
+    flat = taus.reshape(-1)
+    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
+    if bad.size:
+        raise NegativeTau(f"tau must be finite and >= 0, got {bad[0]}")
+    return taus
 
 
 def epsilon_exact(high: SnapshotMatrix, low: SnapshotMatrix, tau):
@@ -266,13 +268,8 @@ def epsilon_estimated(pair: GramianPair, tau):
     the result is c * max(lambda_max(core_h - tau core_l), 0): the n x n
     pencil has the same nonzero eigenvalues plus n - p zeros.
     """
-    taus = np.asarray(tau, dtype=np.float64)
-    if taus.ndim > 1:
-        raise DimensionMismatch(f"tau must be a scalar or 1-D, got ndim={taus.ndim}")
+    taus = _check_tau(tau)
     flat = taus.reshape(-1)
-    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
-    if bad.size:
-        raise NegativeTau(f"tau must be finite and >= 0, got {bad[0]}")
     gh, gl = pair._pencil or (pair.gh, pair.gl)
     step = max(1, EPS_CHUNK_BYTES // gh.nbytes)
     lam = np.empty(flat.size)
@@ -297,7 +294,7 @@ def rho(k: int, tau: float, eps: float, sigma: SingularSpectrum,
     By convention sigma_{k+1} is taken as 0 when k = rank(L). The value is
     the sweep's own cell, so it equals ``BoundReport.rho_at`` bitwise.
     """
-    t = _check_tau(tau)
+    t = float(_check_tau(tau))
     rank = sigma.numerical_rank()
     if not 1 <= k <= rank:
         raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
@@ -444,7 +441,7 @@ def minimize_bound_two_tau(pair: GramianPair, sigma: SingularSpectrum,
 
 
 # --------------------------------------------------------------------------
-# efficacy study and the explicit lifting operator
+# efficacy study
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -522,25 +519,6 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
         n_sub=n_sub,
         seed=seed,
     )
-
-
-def lifting_oracle_T(high: SnapshotMatrix, low: SnapshotMatrix, k: int):
-    """Explicit lifting operator T = H P_{V_k} L^+ and its error E = H - T L.
-
-    V_k spans the top k right singular vectors of L. This is a validation
-    device: the bound machinery never needs T, but tests compare ||E|| and
-    ||T|| against their closed-form caps.
-    """
-    aligned_sample_ids(high, low)
-    u, s, v = svd(low.data)
-    del u
-    rank = s.numerical_rank()
-    if not 1 <= k <= rank:
-        raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
-    vk = v[:, :k]
-    t = high.data @ (vk @ vk.T) @ pseudo_inverse(low.data)
-    e = high.data - t @ low.data
-    return t, e
 
 
 # --------------------------------------------------------------------------

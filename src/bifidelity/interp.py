@@ -121,20 +121,13 @@ def build_id(low, *, rank: int | None = None, tol: float | None = None) -> Inter
     decomposition cannot meet ``tol``.
     """
     data = low.data if isinstance(low, SnapshotMatrix) else _as_matrix(low, "L")
-    if (rank is None) == (tol is None):
-        raise DimensionMismatch("exactly one of rank= or tol= must be given")
-
-    if rank is None:
-        if tol < 0.0 or not np.isfinite(tol):
-            raise DimensionMismatch(f"tolerance must be finite and >= 0, got {tol}")
-        # the QR stops at the first rank whose trailing block, which is the
-        # ID residual, meets tol; the residual is recomputed directly below
-        _, r_factor, perm, rank = pivoted_qr(data, tol=tol)
-        if rank == 0 and data.any():
-            # the empty decomposition is kept only for the all-zero matrix
-            _, r_factor, perm, rank = pivoted_qr(data, rank=1)
-    else:
-        _, r_factor, perm, rank = pivoted_qr(data, rank=rank)
+    # pivoted_qr checks the mode and its parameter; in tolerance mode it stops
+    # at the first rank whose trailing block, which is the ID residual, meets
+    # tol, and the residual is recomputed directly below
+    _, r_factor, perm, rank = pivoted_qr(data, rank=rank, tol=tol)
+    if rank == 0 and data.any():
+        # the empty decomposition is kept only for the all-zero matrix
+        _, r_factor, perm, rank = pivoted_qr(data, rank=1)
     selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, rank)
     if tol is not None:
         # roundoff ties: step on until the recomputed residual meets tol

@@ -94,6 +94,11 @@ def lift(
 
 def evaluate_all(model: BiFidelityModel) -> np.ndarray:
     """Bi-fidelity estimates for every sample column (dim x n_samples)."""
+    rows, cols = model.high_skeleton.shape[0], model.decomposition.n_samples
+    # a skeleton without columns holds no entries to bound its row count
+    if 8 * rows * cols > np.iinfo(np.intp).max:
+        raise DimensionMismatch(
+            f"an estimate of {rows} x {cols} exceeds the largest array size")
     return model.high_skeleton @ model.decomposition.coeffs
 
 

@@ -110,7 +110,9 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
 
     Returns ``(Q, R, perm, rank)``: Q with `rank` orthonormal columns, R of
     shape (rank, cols) upper triangular in its leading block, and ``perm`` the
-    full column permutation (first `rank` entries are the pivots).
+    full column permutation (first `rank` entries are the pivots). A column
+    norm that overflows (entries above about 1e154) raises
+    :class:`NonFiniteInput`.
     """
     a = _as_matrix(a, "A")
     m, n = a.shape
@@ -133,10 +135,14 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
 
     k = 0
     while k < target:
-        norms = np.linalg.norm(w[:, k:], axis=0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(w[:, k:], axis=0)
+        j = k + int(np.argmax(norms))  # argmax returns the first max: ties go low
+        if not np.isfinite(norms[j - k]):
+            # squares of entries above about 1e154 overflow
+            raise NonFiniteInput("column norms of A overflow")
         if tol is not None and _within_tol(w[:, k:], norms, tol):
             break
-        j = k + int(np.argmax(norms))  # argmax returns the first max: ties go low
         if norms[j - k] == 0.0:
             break  # residual exactly zero
         if j != k:

@@ -39,6 +39,11 @@ __all__ = [
     "diffusion_pair",
 ]
 
+#: Samples per elimination sweep of :func:`diffusion_pair`. The sweep's
+#: Python loop runs once per block, and a block holds a few (nodes x block)
+#: temporaries, so memory stays flat in the sample count.
+SOLVE_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class ParameterSample:
@@ -257,52 +262,60 @@ def _check_diffusion_mu(sample: ParameterSample, cfg: DiffusionConfig) -> np.nda
     return mu
 
 
-def _coefficient(x: np.ndarray, mu: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
-    modes = np.arange(1, cfg.d_params + 1)
-    amps = cfg.field_amplitude * cfg.field_decay ** (modes - 1)
-    log_a = np.sin(np.pi * np.outer(x, modes)) @ (amps * mu)
-    return np.exp(log_a)
+def _coefficients(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """a = exp(basis @ w) for each row w of ``weights``, one column per row.
+
+    One gemv per sample: a gemm over the block would round differently.
+    """
+    return np.exp(np.stack([basis @ w for w in weights], axis=1))
 
 
-def _solve_flux(mu: np.ndarray, n_nodes: int, cfg: DiffusionConfig) -> np.ndarray:
-    """Solve -(a u')' = 1 on [0, 1], u(0) = u(1) = 0; return flux a u'.
+def _solve_flux(weights: np.ndarray, x: np.ndarray, half_basis: np.ndarray,
+                node_basis: np.ndarray) -> np.ndarray:
+    """Solve -(a u')' = 1 on the grid ``x`` of [0, 1], u(0) = u(1) = 0, and
+    return the flux a u', one column per row of mode weights c_i mu_i.
 
     Flux-form second-order differences with the coefficient at half nodes;
     the flux uses central differences inside and second-order one-sided
     stencils at the boundaries, so a constant coefficient reproduces the
     exact linear flux (1 - 2x)/2 to roundoff.
+
+    The tridiagonal system is solved for all columns at once by LAPACK
+    gtsv's elimination without row interchanges and its back-substitution.
+    The matrix is diagonally dominant, so gtsv swaps no rows on it and the
+    sweep gives its bits, unless the coefficient spans more than about
+    1e16 and rounding decides; a pivot that is not positive raises
+    :class:`SolverFailure`.
     """
-    # imported here, by the one solver that needs it, so that importing the
-    # package loads numpy's BLAS runtime only (scipy brings a second one)
-    import scipy.linalg
-
-    x = np.linspace(0.0, 1.0, n_nodes)
     h = x[1] - x[0]
-    a_half = _coefficient(0.5 * (x[:-1] + x[1:]), mu, cfg)
-    if np.any(a_half <= 0.0):  # exp(...) > 0 always; guards future edits
+    a_half = _coefficients(half_basis, weights)
+    if np.any(a_half <= 0.0):
         raise SolverFailure("diffusion coefficient must be positive")
+    off = -(a_half[1:-1] / h**2)  # sub- and super-diagonal
+    piv = (a_half[:-1] + a_half[1:]) / h**2  # the diagonal, then the pivots
+    if not np.all(np.isfinite(piv)):
+        raise SolverFailure("tridiagonal solve failed: the matrix holds infs or NaNs")
 
-    n_int = n_nodes - 2
-    lower = a_half[1:-1] / h**2
-    upper = lower.copy()
-    diag = (a_half[:-1] + a_half[1:]) / h**2
-    banded = np.zeros((3, n_int))
-    banded[0, 1:] = -upper
-    banded[1, :] = diag
-    banded[2, :-1] = -lower
-    rhs = np.ones(n_int)
-    try:
-        interior = scipy.linalg.solve_banded((1, 1), banded, rhs)
-    except (ValueError, scipy.linalg.LinAlgError) as exc:
-        raise SolverFailure(f"tridiagonal solve failed: {exc}") from exc
+    u = np.zeros((x.size, weights.shape[0]))
+    b = u[1:-1]  # right-hand side, then the interior solution
+    b[:] = 1.0
+    with np.errstate(all="ignore"):  # a bad pivot is reported below
+        for i in range(len(b) - 1):
+            fact = off[i] / piv[i]
+            piv[i + 1] -= fact * off[i]
+            b[i + 1] -= fact * b[i]
+    if not np.all(piv > 0.0):
+        raise SolverFailure("tridiagonal solve failed: a pivot is not positive")
+    b[-1] /= piv[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] -= off[i] * b[i + 1]
+        b[i] /= piv[i]
 
-    u = np.zeros(n_nodes)
-    u[1:-1] = interior
-    du = np.empty(n_nodes)
+    du = np.empty_like(u)
     du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
     du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return _coefficient(x, mu, cfg) * du
+    return _coefficients(node_basis, weights) * du
 
 
 def draw_diffusion_samples(
@@ -325,13 +338,17 @@ def diffusion_pair(
     """(high, low) flux snapshot matrices on the fine and coarse grids."""
     cfg = cfg or DiffusionConfig()
     ids = tuple(s.id for s in samples)
-    high_cols = []
-    low_cols = []
-    for s in samples:
-        mu = _check_diffusion_mu(s, cfg)
-        high_cols.append(_solve_flux(mu, cfg.mesh_high, cfg))
-        low_cols.append(_solve_flux(mu, cfg.mesh_low, cfg))
-    return (
-        SnapshotMatrix(data=np.column_stack(high_cols), sample_ids=ids),
-        SnapshotMatrix(data=np.column_stack(low_cols), sample_ids=ids),
-    )
+    modes = np.arange(1, cfg.d_params + 1)
+    amps = cfg.field_amplitude * cfg.field_decay ** (modes - 1)
+    weights = np.array([amps * _check_diffusion_mu(s, cfg) for s in samples])
+    fluxes = []
+    for n_nodes in (cfg.mesh_high, cfg.mesh_low):
+        x = np.linspace(0.0, 1.0, n_nodes)
+        half_basis = np.sin(np.pi * np.outer(0.5 * (x[:-1] + x[1:]), modes))
+        node_basis = np.sin(np.pi * np.outer(x, modes))
+        flux = np.empty((n_nodes, len(samples)))
+        for start in range(0, len(samples), SOLVE_BLOCK):
+            block = slice(start, start + SOLVE_BLOCK)
+            flux[:, block] = _solve_flux(weights[block], x, half_basis, node_basis)
+        fluxes.append(SnapshotMatrix(data=flux, sample_ids=ids))
+    return fluxes[0], fluxes[1]

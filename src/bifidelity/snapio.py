@@ -199,8 +199,9 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
         raise BadMagic(f"{path}: expected magic {MAGIC!r}, found {magic!r}")
     if version != VERSION:
         raise VersionUnsupported(f"{path}: unsupported version {version}")
-    if max(dim, n_samples) > np.iinfo(np.intp).max:
-        # a zero count would let the size check below pass
+    if 8 * max(dim, n_samples) > np.iinfo(np.intp).max:
+        # numpy caps each dimension's byte length, even with no entries; a
+        # zero count would let the size check below pass
         raise DimensionMismatch(f"{path}: header shape {dim} x {n_samples} "
                                 "exceeds the largest array dimension")
     expected = _HEADER.size + 8 * dim * n_samples

@@ -12,13 +12,22 @@ tolerance mode shortcuts, so they check the rank choice, not the
 factorisation. Likewise ``eps_full_eigvalsh`` calls LAPACK as the package
 does, but on the unreduced n x n pencil, so it checks the package's
 reduction to the p x p pencil, not the eigensolver.
+
+Two more references stand apart: ``diffusion_flux_banded`` is the diffusion
+model's former solve, one scipy banded (LAPACK gtsv) solve per sample, which
+the package's vectorised elimination must match bit for bit; and
+``lifting_oracle_T`` builds the explicit lifting operator from the package's
+SVD and pseudo-inverse, because the tests compare its norms against the
+bound's closed-form caps, not its factorisations.
 """
 
 import numpy as np
+import scipy.linalg
 
-from bifidelity.errors import ToleranceUnreachable
+from bifidelity.errors import KOutOfRange, ToleranceUnreachable
 from bifidelity.interp import InterpDecomposition, _assemble
-from bifidelity.linalg import pivoted_qr
+from bifidelity.linalg import pivoted_qr, pseudo_inverse, svd
+from bifidelity.snapshots import aligned_sample_ids
 
 
 def jacobi_svd_values(a, tol=1e-14, max_sweeps=60):
@@ -203,3 +212,49 @@ def id_by_rank_scan(low, tol):
         if residual <= tol:
             return InterpDecomposition(cand, selected, skeleton, coeffs, residual)
     raise ToleranceUnreachable(f"no rank up to {avail} meets {tol:g}")
+
+
+def diffusion_flux_banded(mu, n_nodes, cfg):
+    """Flux a u' of -(a u')' = 1, u(0) = u(1) = 0, on ``n_nodes`` nodes for one
+    input vector ``mu``: the same differences as the package, with the
+    tridiagonal system handed to ``scipy.linalg.solve_banded``."""
+    x = np.linspace(0.0, 1.0, n_nodes)
+    h = x[1] - x[0]
+    modes = np.arange(1, cfg.d_params + 1)
+    amps = cfg.field_amplitude * cfg.field_decay ** (modes - 1)
+
+    def coefficient(points):
+        return np.exp(np.sin(np.pi * np.outer(points, modes)) @ (amps * mu))
+
+    a_half = coefficient(0.5 * (x[:-1] + x[1:]))
+    n_int = n_nodes - 2
+    lower = a_half[1:-1] / h**2
+    banded = np.zeros((3, n_int))
+    banded[0, 1:] = -lower
+    banded[1, :] = (a_half[:-1] + a_half[1:]) / h**2
+    banded[2, :-1] = -lower
+    u = np.zeros(n_nodes)
+    u[1:-1] = scipy.linalg.solve_banded((1, 1), banded, np.ones(n_int))
+    du = np.empty(n_nodes)
+    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    return coefficient(x) * du
+
+
+def lifting_oracle_T(high, low, k):
+    """Explicit lifting operator T = H P_{V_k} L^+ and its error E = H - T L.
+
+    V_k spans the top k right singular vectors of L. The bound machinery
+    never needs T; the tests compare ||E|| and ||T|| against their
+    closed-form caps.
+    """
+    aligned_sample_ids(high, low)
+    _, s, v = svd(low.data)
+    rank = s.numerical_rank()
+    if not 1 <= k <= rank:
+        raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
+    vk = v[:, :k]
+    t = high.data @ (vk @ vk.T) @ pseudo_inverse(low.data)
+    e = high.data - t @ low.data
+    return t, e

@@ -16,7 +16,6 @@ from bifidelity.bound import (
     efficacy_study,
     epsilon_estimated,
     epsilon_exact,
-    lifting_oracle_T,
     minimize_bound,
     rho,
 )
@@ -34,6 +33,8 @@ from bifidelity.models import (
 )
 from bifidelity.snapio import read_id, read_snapshots, write_id, write_snapshots
 from bifidelity.snapshots import SnapshotMatrix
+
+from oracles import lifting_oracle_T
 
 
 def _ids(n):

@@ -13,7 +13,6 @@ from bifidelity.bound import (
     efficacy_study,
     epsilon_estimated,
     epsilon_exact,
-    lifting_oracle_T,
     minimize_bound,
     minimize_bound_two_tau,
     refine_tau_grid,
@@ -35,7 +34,12 @@ from bifidelity.linalg import SingularSpectrum, singular_values, spectral_norm
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import eps_full_eigvalsh, max_quadratic_form, random_matrix_with_spectrum
+from oracles import (
+    eps_full_eigvalsh,
+    lifting_oracle_T,
+    max_quadratic_form,
+    random_matrix_with_spectrum,
+)
 
 
 def snap(data, prefix="s"):
@@ -575,3 +579,18 @@ def test_write_bound_report_layout(tmp_path):
         assert valid in ("true", "false")
         i = int(np.flatnonzero(rep.tau_grid == float(tau))[0])
         assert float(eps_hat) == rep.eps_values[i]
+
+
+@pytest.mark.parametrize("tau,shown", [(-1.0, "-1.0"), (float("nan"), "nan"),
+                                       (float("inf"), "inf")])
+def test_rho_and_eps_reject_a_bad_tau_with_one_message(tau, shown):
+    sigma = SingularSpectrum(np.array([2.0, 1.0]))
+    pair = GramianPair.full(SnapshotMatrix.from_array(np.eye(2)),
+                            SnapshotMatrix.from_array(np.eye(2)))
+    message = f"tau must be finite and >= 0, got {shown}"
+    with pytest.raises(NegativeTau) as info:
+        rho(1, tau, 0.0, sigma, 1.0, 0.0)
+    assert str(info.value) == message
+    with pytest.raises(NegativeTau) as info:
+        epsilon_estimated(pair, np.array([0.0, tau]))
+    assert str(info.value) == message

@@ -150,6 +150,18 @@ def test_mode_arguments_are_exclusive():
         build_id(np.eye(3))
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"rank": 1, "tol": 1e-3}, "exactly one of rank= or tol= must be given"),
+    ({}, "exactly one of rank= or tol= must be given"),
+    ({"tol": -1.0}, "tolerance must be finite and >= 0, got -1.0"),
+    ({"tol": float("nan")}, "tolerance must be finite and >= 0, got nan"),
+])
+def test_mode_arguments_are_checked_once_with_their_message(kwargs, message):
+    with pytest.raises(DimensionMismatch) as info:
+        build_id(np.eye(3), **kwargs)
+    assert str(info.value) == message
+
+
 def test_decomposition_validates_identity_block():
     with pytest.raises(DimensionMismatch):
         InterpDecomposition(

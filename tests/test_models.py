@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bifidelity.errors import DimensionMismatch, OutOfBounds
+from bifidelity.errors import DimensionMismatch, OutOfBounds, SolverFailure
 from bifidelity.interp import build_id
 from bifidelity.models import (
+    SOLVE_BLOCK,
     BeamConfig,
     DiffusionConfig,
     ParameterSample,
@@ -16,7 +21,7 @@ from bifidelity.models import (
     draw_diffusion_samples,
 )
 
-from oracles import section_inertia_quadrature
+from oracles import diffusion_flux_banded, section_inertia_quadrature
 
 NOMINAL = ParameterSample(id="nominal", mu=np.array([10.0, 1.0e6, 1.0e6, 1.0e4]))
 
@@ -185,3 +190,71 @@ def test_sample_ids_are_aligned_and_distinct():
     high, low = diffusion_pair(samples, cfg)
     assert high.sample_ids == low.sample_ids
     assert len(set(high.sample_ids)) == 8
+
+
+# --------------------------------------------------------------------------
+# diffusion solve: bits of the banded solve, error classes, memory
+# --------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(meshes=st.lists(st.integers(3, 1024), min_size=2, max_size=2).map(sorted),
+       d_params=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1]),
+       amplitude=st.sampled_from([1.0, 0.0, 0.3, 4.0, 10.0]))
+@example(meshes=[3, 3], d_params=1, seed=0, count=1, amplitude=1.0)
+@example(meshes=[16, 1024], d_params=8, seed=1, count=SOLVE_BLOCK + 1, amplitude=1.0)
+def test_diffusion_pair_equals_banded_solve_bitwise(meshes, d_params, seed, count,
+                                                    amplitude):
+    cfg = DiffusionConfig(mesh_low=meshes[0], mesh_high=meshes[1],
+                          d_params=d_params, field_amplitude=amplitude)
+    samples = draw_diffusion_samples(count, seed=seed, cfg=cfg)
+    high, low = diffusion_pair(samples, cfg)
+    for snapshot, n_nodes in ((high, cfg.mesh_high), (low, cfg.mesh_low)):
+        expected = np.column_stack(
+            [diffusion_flux_banded(s.mu, n_nodes, cfg) for s in samples])
+        assert snapshot.data.tobytes() == expected.tobytes()
+
+
+def test_diffusion_nan_input_is_a_solver_failure():
+    cfg = DiffusionConfig()
+    nan = ParameterSample(id="nan", mu=np.full(cfg.d_params, np.nan))
+    with pytest.raises(SolverFailure, match="matrix holds infs or NaNs"):
+        diffusion_pair([nan], cfg)
+
+
+def test_diffusion_overflowing_coefficient_is_a_solver_failure():
+    cfg = DiffusionConfig(field_amplitude=800.0)
+    big = ParameterSample(id="big", mu=np.ones(cfg.d_params))
+    with np.errstate(over="ignore"), pytest.raises(SolverFailure,
+                                                   match="matrix holds infs or NaNs"):
+        diffusion_pair([big], cfg)
+
+
+def test_diffusion_underflowing_coefficient_is_a_solver_failure():
+    cfg = DiffusionConfig(field_amplitude=800.0)
+    tiny = ParameterSample(id="tiny", mu=-np.ones(cfg.d_params))
+    with pytest.raises(SolverFailure, match="diffusion coefficient must be positive"):
+        diffusion_pair([tiny], cfg)
+
+
+def test_diffusion_pivot_lost_to_rounding_is_a_solver_failure():
+    """A coefficient spanning far more than 1e16 leaves the pivot of a
+    coarse-mesh row at zero; that is a failure, not a NaN flux."""
+    cfg = DiffusionConfig(mesh_low=4, mesh_high=8, field_amplitude=80.0)
+    samples = draw_diffusion_samples(40, seed=2, cfg=cfg)
+    with pytest.raises(SolverFailure, match="pivot is not positive"):
+        diffusion_pair(samples, cfg)
+
+
+def test_diffusion_pair_memory_on_the_bench_study():
+    """2000 samples on the 16/1024 meshes: the outputs and their snapshot
+    copies are 33 MB; one sweep over every sample at once peaked at 156."""
+    cfg = DiffusionConfig(mesh_low=16, mesh_high=1024)
+    samples = draw_diffusion_samples(2000, seed=1, cfg=cfg)
+    tracemalloc.start()
+    try:
+        diffusion_pair(samples, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, peak
