@@ -99,7 +99,12 @@ def evaluate_all(model: BiFidelityModel) -> np.ndarray:
     if 8 * rows * cols > np.iinfo(np.intp).max:
         raise DimensionMismatch(
             f"an estimate of {rows} x {cols} exceeds the largest array size")
-    return model.high_skeleton @ model.decomposition.coeffs
+    try:
+        out = np.empty((rows, cols))
+    except MemoryError as exc:
+        raise DimensionMismatch(
+            f"cannot allocate an estimate of {rows} x {cols}") from exc
+    return np.matmul(model.high_skeleton, model.decomposition.coeffs, out=out)
 
 
 def evaluate_one(model: BiFidelityModel, coefficients) -> np.ndarray:

@@ -60,9 +60,10 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 
 
-def _atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``, so ``path`` never holds part of ``data``.
+def _atomic_write(path, *blocks) -> None:
+    """Write the bytes-like ``blocks``, in order, to ``path`` through a
+    temporary file in the same directory and ``os.replace``, so ``path``
+    never holds part of them.
 
     A symlink is written through. An existing target that is not a regular
     file (``/dev/null``, a FIFO) is written in place, never replaced.
@@ -70,7 +71,8 @@ def _atomic_write(path, data: bytes) -> None:
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "wb") as fh:
-            fh.write(data)
+            for block in blocks:
+                fh.write(block)
         return
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -78,7 +80,8 @@ def _atomic_write(path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for block in blocks:
+                fh.write(block)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -178,8 +181,9 @@ def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
     """Write a snapshot matrix; ``fmt`` is ``bfsm`` (binary) or ``csv``."""
     if fmt == "bfsm":
         header = _HEADER.pack(MAGIC, VERSION, matrix.dim, matrix.n_samples)
-        payload = np.asfortranarray(matrix.data).tobytes(order="F")
-        _atomic_write(path, header + payload)
+        # the transpose of the column-major copy is C-contiguous: the file
+        # takes its buffer as is, with no bytes copy of the payload
+        _atomic_write(path, header, np.asfortranarray(matrix.data).T)
         _write_sidecar(path, matrix.sample_ids, provenance)
         return
     if fmt == "csv":

@@ -19,14 +19,20 @@ the package's vectorised elimination must match bit for bit; and
 ``lifting_oracle_T`` builds the explicit lifting operator from the package's
 SVD and pseudo-inverse, because the tests compare its norms against the
 bound's closed-form caps, not its factorisations.
+
+Finally, ``efficacy_full_sweep`` is the efficacy study's former per-trial
+loop, one full ``minimize_bound`` sweep per sub-sample, against which the
+study's pruned best-rho search must agree bit for bit.
 """
 
 import numpy as np
 import scipy.linalg
 
+from bifidelity.bound import GramianPair, minimize_bound
 from bifidelity.errors import KOutOfRange, ToleranceUnreachable
-from bifidelity.interp import InterpDecomposition, _assemble
-from bifidelity.linalg import pivoted_qr, pseudo_inverse, svd
+from bifidelity.interp import InterpDecomposition, _assemble, build_id
+from bifidelity.linalg import (pivoted_qr, pseudo_inverse, singular_values,
+                               spectral_norm, svd)
 from bifidelity.snapshots import aligned_sample_ids
 
 
@@ -258,3 +264,23 @@ def lifting_oracle_T(high, low, k):
     t = high.data @ (vk @ vk.T) @ pseudo_inverse(low.data)
     e = high.data - t @ low.data
     return t, e
+
+
+def efficacy_full_sweep(high, low, rank, n_sub, trials, seed, grid=None):
+    """(ratios, true_error) of the efficacy study with a full bound sweep per
+    trial: the same sub-samples as ``efficacy_study``, each sent through
+    ``minimize_bound`` over the whole grid. No degenerate-error check."""
+    aligned_sample_ids(high, low)
+    dec = build_id(low, rank=rank)
+    h_hat = high.data[:, list(dec.selected)] @ dec.coeffs
+    true_error = spectral_norm(high.data - h_hat)
+    sigma = singular_values(low.data)
+    rng = np.random.default_rng(seed)
+    ratios = np.empty(trials)
+    for t in range(trials):
+        idx = np.sort(rng.choice(low.n_samples, size=n_sub, replace=False))
+        pair = GramianPair.from_snapshots(high, low, idx)
+        report = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm,
+                                grid)
+        ratios[t] = report.best_rho / true_error
+    return ratios, true_error

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifidelity import bound
 from bifidelity.bound import (
+    DEGENERATE_ERROR_RTOL,
     EPS_CHUNK_BYTES,
+    PRUNE_STRIDE,
     GramianPair,
+    _best_rho,
     default_tau_grid,
     efficacy_study,
     epsilon_estimated,
@@ -23,6 +27,7 @@ from bifidelity.bound import (
 from bifidelity.errors import (
     AllCombinationsInvalid,
     DegenerateError,
+    DimensionMismatch,
     EmptyGrid,
     KOutOfRange,
     NegativeTau,
@@ -508,6 +513,233 @@ def test_efficacy_deterministic_given_seed():
     a = efficacy_study(high, low, rank=2, n_sub=4, trials=5, seed=77)
     b = efficacy_study(high, low, rank=2, n_sub=4, trials=5, seed=77)
     assert np.array_equal(a.ratios, b.ratios)
+
+
+def test_efficacy_skips_the_svd_of_h_away_from_the_noise_floor(monkeypatch):
+    calls = []
+    real = bound.spectral_norm
+    monkeypatch.setattr(bound, "spectral_norm",
+                        lambda a: calls.append(np.shape(a)) or real(a))
+    high, low = wide_pair(16)
+    efficacy_study(high, low, rank=2, n_sub=4, trials=2, seed=3)
+    assert len(calls) == 1  # ||H - H_hat|| only: ||H||_F decides
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), factor=st.floats(0.25, 4.0),
+       spread=st.sampled_from([1.0, 0.3, 1e-3]))
+def test_degenerate_decision_matches_the_spectral_norm_rule(seed, factor, spread):
+    """H = A L, lifted exactly but for rounding, plus a perturbation sized so
+    that the lifting error lands near DEGENERATE_ERROR_RTOL ||H||_2. With
+    ``spread`` near 1 ||H||_F is about twice ||H||_2, near 0 the two agree."""
+    rng = np.random.default_rng(seed)
+    low = rng.standard_normal((4, 12))
+    mix = random_matrix_with_spectrum(rng, 6, 4, [1.0, spread, spread, spread])
+    pert = rng.standard_normal((6, 12))
+    dec = build_id(low, rank=4)
+    cols = list(dec.selected)
+    unit = spectral_norm(pert - pert[:, cols] @ dec.coeffs)
+    h = mix @ low
+    h = h + factor * DEGENERATE_ERROR_RTOL * spectral_norm(h) / unit * pert
+    true_error = spectral_norm(h - h[:, cols] @ dec.coeffs)
+    h_norm = spectral_norm(h)
+    if true_error <= DEGENERATE_ERROR_RTOL * h_norm:
+        with pytest.raises(DegenerateError) as info:
+            efficacy_study(snap(h), snap(low), rank=4, n_sub=6, trials=1, seed=0)
+        assert str(info.value) == (
+            f"true error {true_error:.3e} is at the noise floor of "
+            f"||H|| = {h_norm:.3e}; efficacy ratios are meaningless")
+    else:
+        result = efficacy_study(snap(h), snap(low), rank=4, n_sub=6, trials=1,
+                                seed=0)
+        assert result.true_error == true_error
+
+
+# --------------------------------------------------------------------------
+# pruned best-rho search
+# --------------------------------------------------------------------------
+
+GRID_KINDS = ("default", "log", "linear0", "linear", "single", "repeated", "late")
+
+
+def grid_of(kind, rng):
+    count = int(rng.integers(2, 300))
+    if kind == "default":
+        return default_tau_grid()
+    if kind == "log":
+        return tau_grid(10 ** rng.uniform(-6, 0), 10 ** rng.uniform(0, 6), count)
+    if kind == "linear0":
+        return tau_grid(0.0, 10 ** rng.uniform(-2, 6), count, "linear")
+    if kind == "linear":
+        return tau_grid(10 ** rng.uniform(-4, 0), 10 ** rng.uniform(0, 6), count,
+                        "linear")
+    if kind == "single":
+        return np.array([0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-6, 6)])
+    if kind == "repeated":
+        base = np.concatenate(([0.0], tau_grid(1e-4, 1e4, count // 4 + 1)))
+        return np.repeat(base, rng.integers(1, 6, base.size))
+    # grids starting far out, where many or all cells are invalid
+    return tau_grid(10 ** rng.uniform(-1, 5), 1e6, count)
+
+
+def sweep_problem(seed, regime, dim_h, dim_l):
+    """(pair, sigma, cl_norm, id_residual) of one efficacy-style trial."""
+    rng = np.random.default_rng(seed)
+    if regime == "reduced":
+        n_sub = dim_h + dim_l + int(rng.integers(1, 20))
+    else:
+        n_sub = int(rng.integers(1, dim_h + dim_l + 1))
+    n_total = n_sub + int(rng.integers(0, 20))
+    low = rng.standard_normal((dim_l, n_total)) \
+        * 10.0 ** -rng.uniform(0, 3, dim_l)[:, None]
+    high = rng.standard_normal((dim_h, dim_l)) @ low \
+        + 10.0 ** rng.uniform(-4, 0) * rng.standard_normal((dim_h, n_total))
+    # ranks above n_sub are drawn too: the regime where the estimate under-shoots
+    dec = build_id(low, rank=int(rng.integers(1, min(dim_l, n_total) + 1)))
+    idx = np.sort(rng.choice(n_total, size=n_sub, replace=False))
+    pair = GramianPair.from_snapshots(snap(high), snap(low), idx)
+    return pair, singular_values(low), dec.coeff_norm(), dec.residual_norm
+
+
+def assert_best_rho_is_the_sweep_minimum(pair, sigma, cl_norm, id_residual, grid):
+    try:
+        report = minimize_bound(pair, sigma, cl_norm, id_residual, grid)
+    except AllCombinationsInvalid as exc:
+        with pytest.raises(AllCombinationsInvalid) as info:
+            _best_rho(pair, sigma, cl_norm, id_residual, grid)
+        assert str(info.value) == str(exc)
+        return
+    best, ti, k = _best_rho(pair, sigma, cl_norm, id_residual, grid)
+    assert np.float64(best).tobytes() == np.float64(report.best_rho).tobytes()
+    # the full sweep takes the first of equal cells, and equal tau give equal cells
+    assert ti == int(np.flatnonzero(grid == report.best_tau)[0])
+    assert k == report.best_k
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), regime=st.sampled_from(["full", "reduced"]),
+       dim_h=st.integers(1, 24), dim_l=st.integers(1, 12),
+       kind=st.sampled_from(GRID_KINDS))
+def test_best_rho_equals_the_full_sweep(seed, regime, dim_h, dim_l, kind):
+    pair, sigma, cl_norm, id_residual = sweep_problem(seed, regime, dim_h, dim_l)
+    grid = grid_of(kind, np.random.default_rng(seed + 1))
+    assert_best_rho_is_the_sweep_minimum(pair, sigma, cl_norm, id_residual, grid)
+
+
+def test_best_rho_on_an_all_invalid_trial_raises_as_the_sweep():
+    low = snap(np.eye(2))
+    pair = GramianPair.from_columns(np.zeros((2, 1)), np.ones((2, 1)), n_total=2)
+    grid = tau_grid(10.0, 1e3, 40)
+    assert_best_rho_is_the_sweep_minimum(pair, singular_values(low.data), 1.0, 0.0,
+                                         grid)
+    with pytest.raises(AllCombinationsInvalid):
+        _best_rho(pair, singular_values(low.data), 1.0, 0.0, grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.parametrize("regime", ["full", "reduced"])
+def test_best_rho_raises_nonfinite_as_the_sweep(regime):
+    pair, _ = kernel_pair(regime)
+    sigma = SingularSpectrum(np.array([2.0, 1.0]))
+    grid = np.append(default_tau_grid(), 1e308)
+    with pytest.raises(NonFiniteInput):
+        minimize_bound(pair, sigma, 1.0, 0.1, grid)
+    with pytest.raises(NonFiniteInput):
+        _best_rho(pair, sigma, 1.0, 0.1, grid)
+
+
+def test_best_rho_evaluates_a_fraction_of_the_default_grid(monkeypatch):
+    """The efficacy regime: rank 10 of a diffusion ensemble, n = 40."""
+    cfg = DiffusionConfig()
+    high, low = diffusion_pair(draw_diffusion_samples(200, seed=5, cfg=cfg), cfg)
+    dec = build_id(low, rank=10)
+    sigma = singular_values(low.data)
+    evaluated = []
+    real = bound.epsilon_estimated
+    monkeypatch.setattr(bound, "epsilon_estimated",
+                        lambda pair, tau: evaluated.append(np.size(tau)) or real(pair, tau))
+    rng = np.random.default_rng(0)
+    counts = []
+    for _ in range(10):
+        idx = np.sort(rng.choice(200, size=40, replace=False))
+        pair = GramianPair.from_snapshots(high, low, idx)
+        evaluated.clear()
+        _best_rho(pair, sigma, dec.coeff_norm(), dec.residual_norm, default_tau_grid())
+        counts.append(sum(evaluated))
+    assert np.median(counts) <= 50, counts
+
+
+def eps_table(monkeypatch, grid, values):
+    """Route eps through a table of the grid's values, as chunked calls do."""
+    table = dict(zip(grid.tolist(), values))
+
+    def fake(pair, tau):
+        return np.array([table[t] for t in np.asarray(tau).tolist()])
+
+    monkeypatch.setattr(bound, "epsilon_estimated", fake)
+
+
+def test_best_rho_leaves_a_tie_with_the_bound_open(monkeypatch):
+    """rho = sqrt(eps) falls to exactly 0 inside a first-pass gap: the gap's
+    bound equals the best value, and only a strict comparison keeps the gap
+    open to reach the first zero, where the full sweep's minimum is."""
+    grid = np.linspace(0.0, 1.0, 3 * PRUNE_STRIDE)
+    first_zero = PRUNE_STRIDE + 3
+    eps_table(monkeypatch, grid, [1.0] * first_zero + [0.0] * (grid.size - first_zero))
+    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
+    sigma = SingularSpectrum(np.array([1.0]))
+    assert minimize_bound(pair, sigma, 0.0, 0.0, grid).best_tau == grid[first_zero]
+    assert _best_rho(pair, sigma, 0.0, 0.0, grid) == (0.0, first_zero, 1)
+
+
+def test_best_rho_slack_covers_a_rounding_dip(monkeypatch):
+    """eps two ulps above 1 at the end of a first-pass gap and two ulps below
+    inside it, as a rounded eigensolve can give: without the slack the gap's
+    bound would exceed the best value 1 and the dip would be missed."""
+    grid = np.linspace(0.0, 1.0, 3 * PRUNE_STRIDE)
+    values = [1.0 + 2.0**-51] * grid.size
+    values[PRUNE_STRIDE] = 1.0
+    values[PRUNE_STRIDE + 5] = 1.0 - 2.0**-52
+    eps_table(monkeypatch, grid, values)
+    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
+    sigma = SingularSpectrum(np.array([1.0]))
+    assert minimize_bound(pair, sigma, 0.0, 0.0, grid).best_tau == grid[PRUNE_STRIDE + 5]
+    assert _best_rho(pair, sigma, 0.0, 0.0, grid) == (
+        float(np.sqrt(1.0 - 2.0**-52)), PRUNE_STRIDE + 5, 1)
+
+
+# --------------------------------------------------------------------------
+# Gramian pair checks
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim_h,dim_l", [(5, 3), (3, 2)])  # n x n, reduced p x p
+def test_from_columns_skips_the_checks_given_gramians_get(monkeypatch, dim_h, dim_l):
+    rng = np.random.default_rng(dim_h)
+    hc, lc = rng.standard_normal((dim_h, 8)), rng.standard_normal((dim_l, 8))
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
+    built = GramianPair.from_columns(hc, lc, n_total=16)
+    assert shapes == []
+    given = GramianPair(gh=built.gh, gl=built.gl, n_sub=8, n_total=16, c=2.0)
+    assert shapes == [(8, 8), (8, 8)]
+    monkeypatch.undo()
+    if dim_h + dim_l >= 8:  # both read the n x n pencil: same eps bits
+        grid = default_tau_grid()
+        assert np.array_equal(epsilon_estimated(built, grid),
+                              epsilon_estimated(given, grid))
+
+
+@pytest.mark.parametrize("name", ["gh", "gl"])
+@pytest.mark.parametrize("bad,message", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "is not symmetric"),
+    (np.array([[1.0, 0.0], [0.0, -1.0]]), "is not positive semi-definite"),
+])
+def test_given_gramians_are_still_checked(name, bad, message):
+    pair = {"gh": np.eye(2), "gl": np.eye(2), name: bad}
+    with pytest.raises(DimensionMismatch, match=f"^{name} {message}$"):
+        GramianPair(**pair, n_sub=2, n_total=2, c=1.0)
 
 
 # --------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bifidelity
-from bifidelity.cli import cli_main
+from bifidelity.cli import _tau_grid_from_args, build_parser, cli_main
 from bifidelity.errors import DataError
 from bifidelity.snapio import read_id, read_snapshots, write_snapshots
 from bifidelity.lifting import required_samples
 from bifidelity.linalg import spectral_norm
 from bifidelity.snapshots import SnapshotMatrix
+
+from oracles import efficacy_full_sweep
 
 
 def run_pipeline(workdir: Path, seed=7) -> dict[str, Path]:
@@ -403,7 +405,7 @@ def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
     files = {k: str(v) for k, v in diffusion_files.items()}
     script = textwrap.dedent(f"""
         import sys
-        from bifidelity.cli import cli_main
+        from bifidelity.cli import _tau_grid_from_args, build_parser, cli_main
         from bifidelity.lifting import required_samples
         from bifidelity.snapio import read_id, read_snapshots, write_snapshots
 
@@ -675,3 +677,62 @@ def test_efficacy_all_invalid_trial_exits_three(tmp_path, capsys):
         "numerical failure: trial 0: every (k, tau) combination had a negative radicand"
     ]
     assert not (tmp_path / "ratios.csv").exists()
+
+
+# --------------------------------------------------------------------------
+# efficacy: the pruned search prints what a full sweep per trial gives
+# --------------------------------------------------------------------------
+
+EFFICACY_STUDIES = {
+    # generate flags, efficacy flags; 16 + 8 output rows < 40 columns puts
+    # the reduced study on the p x p pencil, the others on the n x n one
+    "diffusion": (["diffusion", "--samples", "150", "--seed", "4"],
+                  ["--rank", "10", "--n", "20"]),
+    "diffusion-reduced": (["diffusion", "--samples", "150", "--seed", "5",
+                           "--mesh-low", "8", "--mesh-high", "16"],
+                          ["--rank", "6", "--n", "40"]),
+    "beam": (["beam", "--samples", "60", "--seed", "6", "--grid", "32"],
+             ["--rank", "3", "--n", "12"]),
+}
+GRID_FLAGS = {"default": [], "linear": ["--tau-min", "1e-3", "--tau-scale", "linear"]}
+
+
+@pytest.mark.parametrize("grid", sorted(GRID_FLAGS))
+@pytest.mark.parametrize("study", sorted(EFFICACY_STUDIES))
+def test_efficacy_output_matches_a_full_sweep_per_trial(tmp_path, capsys, study,
+                                                        grid):
+    generate, flags = EFFICACY_STUDIES[study]
+    assert cli_main(["generate", *generate, "--out", str(tmp_path / "s")]) == 0
+    high, low = tmp_path / "s.high.bfsm", tmp_path / "s.low.bfsm"
+    out = tmp_path / "ratios.csv"
+    argv = ["efficacy", "--high", str(high), "--low", str(low), *flags,
+            "--trials", "25", "--seed", "2", *GRID_FLAGS[grid], "--out", str(out)]
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    stdout = capsys.readouterr().out
+
+    args = build_parser().parse_args(argv)
+    ratios, true_error = efficacy_full_sweep(
+        read_snapshots(high), read_snapshots(low), args.rank, args.n,
+        args.trials, args.seed, _tau_grid_from_args(args))
+    rows = [(t, repr(float(r))) for t, r in enumerate(ratios)]
+    mean = repr(float(np.mean(ratios)))
+    assert stdout == "".join(f"trial {t}: {r}\n" for t, r in rows) \
+        + f"mean: {mean}\ntrue_error: {true_error!r}\n{out}\n"
+    assert out.read_bytes() == ("trial,ratio\n" + "".join(f"{t},{r}\n" for t, r in rows)
+                                + f"mean,{mean}\n").encode("utf-8")
+
+
+def test_lift_of_rank_zero_whose_estimate_cannot_be_allocated_exits_two(tmp_path, capsys):
+    """A 2**40-row skeleton header implies a 48 TiB estimate: below numpy's
+    array limit, so only the allocation itself can fail."""
+    low = tmp_path / "z.low.bfsm"
+    write_snapshots(SnapshotMatrix(np.zeros((4, 6)), tuple("abcdef")), low)
+    id_path = tmp_path / "z.id.json"
+    assert cli_main(["decompose", "--low", str(low), "--tol", "1e-3",
+                     "--out-id", str(id_path)]) == 0
+    skeleton = tmp_path / "skel.bfsm"
+    skeleton.write_bytes(struct.pack("<4sIQQ", b"BFSM", 1, 2**40, 0))
+    _assert_data_error(capsys, ["lift", "--id", str(id_path), "--high-skeleton",
+                                str(skeleton), "--out", str(tmp_path / "est.bfsm")])
+    assert not (tmp_path / "est.bfsm").exists()

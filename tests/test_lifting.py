@@ -143,3 +143,17 @@ def test_model_sample_ids_follow_selection():
     need = required_samples(dec, ids)
     model = lift(dec, high[:, list(dec.selected)], sample_ids=need)
     assert model.sample_ids == need
+
+
+def test_evaluate_all_reports_a_failed_allocation_as_a_data_error(monkeypatch):
+    high, low = make_pair(seed=9)
+    dec = build_id(low, rank=3)
+    model = lift(dec, high[:, list(dec.selected)])
+
+    def no_memory(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(DimensionMismatch,
+                       match=r"^cannot allocate an estimate of 11 x 14$"):
+        evaluate_all(model)

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,3 +350,19 @@ def test_atomic_write_feeds_a_fifo_in_place(tmp_path):
     reader.join(10)
     assert got == [b"data"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_bfsm_write_holds_at_most_one_copy_of_the_payload(tmp_path, order):
+    data = np.asarray(np.random.default_rng(4).standard_normal((500, 400)), order=order)
+    m = SnapshotMatrix(data, tuple(f"s{j}" for j in range(400)))
+    tracemalloc.start()
+    try:
+        write_snapshots(m, tmp_path / "m.bfsm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a column-major copy of a row-major matrix; the bytes go out unconcatenated
+    assert peak <= 1.25 * data.nbytes
+    raw = (tmp_path / "m.bfsm").read_bytes()
+    assert raw[24:] == m.data.tobytes(order="F")
