@@ -38,17 +38,12 @@ from .errors import (
     EmptyGrid,
     KOutOfRange,
     NegativeTau,
+    NoConvergence,
     NonFiniteInput,
     SampleMismatch,
 )
 from .interp import build_id
-from .linalg import (
-    SingularSpectrum,
-    _as_matrix,
-    lambda_max_symmetric,
-    singular_values,
-    spectral_norm,
-)
+from .linalg import SingularSpectrum, _as_matrix, singular_values, spectral_norm
 from .snapio import _atomic_write
 from .snapshots import SnapshotMatrix, aligned_sample_ids
 
@@ -157,13 +152,15 @@ class GramianPair:
 
     ``gh`` and ``gl`` are n x n and built from the same column indices of
     both ensembles; ``c = n_total / n_sub`` is the scaling that compensates
-    for the sub-sampling in eps_hat.
+    for the sub-sampling in eps_hat. Given Gramians G must be symmetric to
+    1e-10 and positive semi-definite, and the pair keeps (G + G^T)/2, bitwise
+    G when G is exactly symmetric; the A^T A of :meth:`from_columns` are both.
 
-    When :meth:`from_columns` gets sub-sampled columns Hs (dim_h x n) and Ls
-    (dim_l x n) with p = dim_h + dim_l < n, the pair also keeps the p x p
-    pencil ``core_h = (Hs Q)^T (Hs Q)``, ``core_l = (Ls Q)^T (Ls Q)``, with
-    Q (n x p) the orthonormal factor of the reduced QR of [Hs; Ls]^T; eps is
-    then read off that pencil (see :func:`epsilon_estimated`).
+    eps is read off ``_pencil``, read-only and exactly symmetric:
+    (gh, gl), or, when :meth:`from_columns` gets columns Hs (dim_h x n) and
+    Ls (dim_l x n) with p = dim_h + dim_l < n, the p x p ``core_h = (Hs Q)^T
+    (Hs Q)``, ``core_l = (Ls Q)^T (Ls Q)``, with Q (n x p) the orthonormal
+    factor of the reduced QR of [Hs; Ls]^T.
     """
 
     gh: np.ndarray
@@ -171,15 +168,14 @@ class GramianPair:
     n_sub: int
     n_total: int
     c: float
-    _pencil: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _pencil: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._settle(check_gramians=True)
 
     def _settle(self, check_gramians: bool) -> None:
         """Check the sizes and c, with ``check_gramians`` also that gh and gl
-        are symmetric and positive semi-definite, and freeze both matrices."""
+        are symmetric and positive semi-definite, and freeze the pencil."""
         gh = _as_matrix(self.gh, "gh")
         gl = _as_matrix(self.gl, "gl")
         if gh.shape != gl.shape or gh.shape[0] != gh.shape[1]:
@@ -191,20 +187,22 @@ class GramianPair:
                 f"need 1 <= n_sub <= n_total, got {self.n_sub}, {self.n_total}"
             )
         if check_gramians:
+            parts = []
             for name, g in (("gh", gh), ("gl", gl)):
                 scale = float(np.max(np.abs(g))) or 1.0
                 if np.max(np.abs(g - g.T)) > 1e-10 * scale:
                     raise DimensionMismatch(f"{name} is not symmetric")
-                if float(np.linalg.eigvalsh(0.5 * (g + g.T))[0]) < -1e-10 * scale:
+                parts.append(0.5 * (g + g.T))
+                if float(np.linalg.eigvalsh(parts[-1])[0]) < -1e-10 * scale:
                     raise DimensionMismatch(f"{name} is not positive semi-definite")
+            gh, gl = parts
         if abs(self.c - self.n_total / self.n_sub) > 1e-12 * self.c:
             raise DimensionMismatch("c must equal n_total / n_sub")
-        gh = gh.copy()
-        gl = gl.copy()
         gh.flags.writeable = False
         gl.flags.writeable = False
         object.__setattr__(self, "gh", gh)
         object.__setattr__(self, "gl", gl)
+        object.__setattr__(self, "_pencil", (gh, gl))
 
     @classmethod
     def from_columns(cls, high_cols, low_cols, n_total: int) -> "GramianPair":
@@ -221,8 +219,7 @@ class GramianPair:
         # the two n x n eigensolves that given matrices get
         pair = object.__new__(cls)
         for name, value in (("gh", hc.T @ hc), ("gl", lc.T @ lc), ("n_sub", n),
-                            ("n_total", int(n_total)), ("c", n_total / n),
-                            ("_pencil", None)):
+                            ("n_total", int(n_total)), ("c", n_total / n)):
             object.__setattr__(pair, name, value)
         pair._settle(check_gramians=False)
         if hc.shape[0] + lc.shape[0] < n:
@@ -279,21 +276,29 @@ def epsilon_estimated(pair: GramianPair, tau):
 
     ``tau`` is a scalar (the result is a float) or a 1-D array (the result is
     an array, entry by entry equal to the scalar call). The pencils of all
-    tau go to the eigensolver in chunks of at most ``EPS_CHUNK_BYTES`` each.
-
-    For a pair carrying the reduced p x p pencil (see :class:`GramianPair`)
-    the result is c * max(lambda_max(core_h - tau core_l), 0): the n x n
-    pencil has the same nonzero eigenvalues plus n - p zeros.
+    tau go to the eigensolver as they are, exactly symmetric, in chunks of at
+    most ``EPS_CHUNK_BYTES``. Each entry of Gh - tau Gl is monotone in tau, so
+    one check at the largest tau covers the grid (:class:`NonFiniteInput`).
+    With the reduced p x p pencil (see :class:`GramianPair`) the result is
+    c * max(lambda_max(core_h - tau core_l), 0): the n x n pencil has the
+    same nonzero eigenvalues plus n - p zeros.
     """
     taus = _check_tau(tau)
     flat = taus.reshape(-1)
-    gh, gl = pair._pencil or (pair.gh, pair.gl)
+    gh, gl = pair._pencil
+    top = flat.max(initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(gh - top * gl)):
+            raise NonFiniteInput(f"Gh - tau Gl overflows at tau = {float(top)!r}")
     step = max(1, EPS_CHUNK_BYTES // gh.nbytes)
     lam = np.empty(flat.size)
-    for start in range(0, flat.size, step):
-        t = flat[start:start + step, None, None]
-        lam[start:start + step] = lambda_max_symmetric(gh - t * gl)
-    if pair._pencil is not None:
+    try:
+        for start in range(0, flat.size, step):
+            t = flat[start:start + step, None, None]
+            lam[start:start + step] = np.linalg.eigvalsh(gh - t * gl)[:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
+    if gh.shape[0] < pair.n_sub:
         lam = np.maximum(lam, 0.0)
     eps = pair.c * lam
     return float(eps[0]) if taus.ndim == 0 else eps
@@ -454,22 +459,16 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     A gap is ruled out only when that bound exceeds the best value so far at
     every k, so ties still go to the first point; eps of a point does not
     depend on the points sharing its call, so the result is bitwise the full
-    sweep's. When ``Gh - tau Gl`` could overflow at the largest tau, every
-    point is evaluated, so that the sweep's ``NonFiniteInput`` is raised
-    alike; so is ``AllCombinationsInvalid``, since with no valid cell nothing
-    is ruled out.
+    sweep's. The first call holds the largest tau, so it raises the sweep's
+    ``NonFiniteInput``; with no valid cell nothing is ruled out, so
+    ``AllCombinationsInvalid`` is raised alike.
     """
-    gh, gl = pair._pencil or (pair.gh, pair.gl)
-    finfo = np.finfo(np.float64)
-    unit = 8.0 * gh.shape[0] * finfo.eps * pair.c
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an overflow here only widens the search: to every point when the
-        # pencil could overflow, to every gap when the slack does
-        bounded = np.max(np.abs(gh)) + grid[-1] * np.max(np.abs(gl)) <= 0.5 * finfo.max
+    gh, gl = pair._pencil
+    unit = 8.0 * gh.shape[0] * np.finfo(np.float64).eps * pair.c
+    with np.errstate(over="ignore"):
+        # an overflowing slack only widens the search, to every gap
         slack_h, slack_l = unit * np.linalg.norm(gh), unit * np.linalg.norm(gl)
-    todo = np.arange(grid.size)
-    if bounded:
-        todo = np.union1d(todo[::PRUNE_STRIDE], todo[-1:])
+    todo = np.union1d(np.arange(0, grid.size, PRUNE_STRIDE), [grid.size - 1])
     a, b = todo[:-1], todo[1:]  # the gaps between evaluated points
     eps = np.empty(grid.size)
     cells = np.full((grid.size, sigma.numerical_rank()), np.nan)

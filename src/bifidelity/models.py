@@ -232,6 +232,12 @@ class DiffusionConfig:
     sin(i pi x) with amplitudes c_i = field_amplitude * field_decay^(i-1)
     and mu_i uniform on [-1, 1]; d_params modes are used. ``mesh_low`` and
     ``mesh_high`` count grid nodes including both boundaries.
+
+    Any ``field_amplitude >= 0`` is accepted, but once the coefficient of a
+    sample spans about 1e16 (amplitude of about 30 or more at the default
+    decay) the discrete flux is rounding noise, with no error or warning:
+    against the exact discrete solution of 10 samples on 256 nodes the
+    relative flux error was 1.3e-4 at amplitude 30 and 0.3 to 8 at 40 to 80.
     """
 
     mesh_low: int = 16

@@ -20,19 +20,25 @@ the package's vectorised elimination must match bit for bit; and
 SVD and pseudo-inverse, because the tests compare its norms against the
 bound's closed-form caps, not its factorisations.
 
-Finally, ``efficacy_full_sweep`` is the efficacy study's former per-trial
-loop, one full ``minimize_bound`` sweep per sub-sample, against which the
-study's pruned best-rho search must agree bit for bit.
+``efficacy_full_sweep`` is the efficacy study's former per-trial loop, one
+full ``minimize_bound`` sweep per sub-sample, against which the study's
+pruned best-rho search must agree bit for bit.
+
+Finally, ``eps_lambda_max_symmetric`` is the former eps kernel, which sent
+each chunk of pencils through ``lambda_max_symmetric`` (a finiteness scan
+and (S + S^T)/2 per chunk); the kernel that solves the pair's pencil
+unchecked must match it bit for bit wherever that pencil is exactly
+symmetric.
 """
 
 import numpy as np
 import scipy.linalg
 
-from bifidelity.bound import GramianPair, minimize_bound
+from bifidelity.bound import EPS_CHUNK_BYTES, GramianPair, minimize_bound
 from bifidelity.errors import KOutOfRange, ToleranceUnreachable
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
-from bifidelity.linalg import (pivoted_qr, pseudo_inverse, singular_values,
-                               spectral_norm, svd)
+from bifidelity.linalg import (lambda_max_symmetric, pivoted_qr, pseudo_inverse,
+                               singular_values, spectral_norm, svd)
 from bifidelity.snapshots import aligned_sample_ids
 
 
@@ -284,3 +290,18 @@ def efficacy_full_sweep(high, low, rank, n_sub, trials, seed, grid=None):
                                 grid)
         ratios[t] = report.best_rho / true_error
     return ratios, true_error
+
+
+def eps_lambda_max_symmetric(gh, gl, c, n_sub, tau):
+    """c * lambda_max(gh - tau gl) for a 1-D ``tau``, one ``lambda_max_symmetric``
+    call per chunk of at most ``EPS_CHUNK_BYTES`` of pencils, floored at 0 when
+    the pencil (the reduced p x p one) is smaller than ``n_sub``."""
+    taus = np.asarray(tau, dtype=np.float64)
+    step = max(1, EPS_CHUNK_BYTES // gh.nbytes)
+    lam = np.empty(taus.size)
+    for start in range(0, taus.size, step):
+        lam[start:start + step] = lambda_max_symmetric(
+            gh - taus[start:start + step, None, None] * gl)
+    if gh.shape[0] < n_sub:
+        lam = np.maximum(lam, 0.0)
+    return c * lam

@@ -267,6 +267,47 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def beam_files(tmp_path_factory):
+    """A 60-sample beam study plus a file of every sixth high-fidelity column."""
+    d = tmp_path_factory.mktemp("beam")
+    assert cli_main(["generate", "beam", "--samples", "60", "--seed", "1",
+                     "--out", str(d / "beam")]) == 0
+    high = read_snapshots(d / "beam.high.bfsm")
+    write_snapshots(high.columns(list(range(0, 60, 6))), d / "beam.sub.bfsm")
+    return {"high": d / "beam.high.bfsm", "low": d / "beam.low.bfsm",
+            "sub": d / "beam.sub.bfsm"}
+
+
+@pytest.mark.parametrize("command", ["bound", "efficacy"])
+def test_overflowing_tau_exits_two_with_one_line(beam_files, capsys, command):
+    """tau = 1e308 overflows Gh - tau Gl: one data error naming that tau, and
+    no numpy warning ahead of it."""
+    argv = _command(command, beam_files) + [
+        "--tau-min", "1", "--tau-max", "1e308", "--tau-count", "5"]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == 2
+    assert caught == []
+    assert capsys.readouterr() == (
+        "", "data error: Gh - tau Gl overflows at tau = 1e+308\n")
+
+
+def test_failed_eigensolve_exits_three_with_one_line(diffusion_files, capsys,
+                                                      monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    capsys.readouterr()
+    assert cli_main(_command("bound", diffusion_files)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: symmetric eigensolve failed: Eigenvalues did not converge"]
+
+
+@pytest.fixture(scope="module")
 def id_file(diffusion_files, tmp_path_factory):
     """A valid decomposition file of the small diffusion pair."""
     path = tmp_path_factory.mktemp("id") / "diff.id.json"
