@@ -43,7 +43,13 @@ from .errors import (
     SampleMismatch,
 )
 from .interp import build_id
-from .linalg import SingularSpectrum, _as_matrix, singular_values, spectral_norm
+from .linalg import (
+    SingularSpectrum,
+    _as_matrix,
+    _symmetric_part,
+    singular_values,
+    spectral_norm,
+)
 from .snapio import _atomic_write
 from .snapshots import SnapshotMatrix, aligned_sample_ids
 
@@ -151,10 +157,11 @@ class GramianPair:
     """Gramians of n sub-sampled high-/low-fidelity columns.
 
     ``gh`` and ``gl`` are n x n and built from the same column indices of
-    both ensembles; ``c = n_total / n_sub`` is the scaling that compensates
-    for the sub-sampling in eps_hat. Given Gramians G must be symmetric to
-    1e-10 and positive semi-definite, and the pair keeps (G + G^T)/2, bitwise
-    G when G is exactly symmetric; the A^T A of :meth:`from_columns` are both.
+    both ensembles; ``n_sub`` = n is their size and ``c = n_total / n_sub``
+    the scaling that compensates for the sub-sampling in eps_hat. Given
+    Gramians G must be symmetric to 1e-10 and positive semi-definite, and
+    the pair keeps (G + G^T)/2, bitwise G when G is exactly symmetric; the
+    A^T A of :meth:`from_columns` are both.
 
     eps is read off ``_pencil``, read-only and exactly symmetric:
     (gh, gl), or, when :meth:`from_columns` gets columns Hs (dim_h x n) and
@@ -165,26 +172,35 @@ class GramianPair:
 
     gh: np.ndarray
     gl: np.ndarray
-    n_sub: int
     n_total: int
-    c: float
     _pencil: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._settle(check_gramians=True)
 
+    @property
+    def n_sub(self) -> int:
+        """The number n of sub-sampled columns, the size of the Gramians."""
+        return self.gh.shape[0]
+
+    @property
+    def c(self) -> float:
+        """The sub-sampling scale n_total / n_sub."""
+        return self.n_total / self.n_sub
+
     def _settle(self, check_gramians: bool) -> None:
-        """Check the sizes and c, with ``check_gramians`` also that gh and gl
-        are symmetric and positive semi-definite, and freeze the pencil."""
+        """Check the sizes, with ``check_gramians`` also that gh and gl are
+        symmetric and positive semi-definite, and freeze the pencil."""
         gh = _as_matrix(self.gh, "gh")
         gl = _as_matrix(self.gl, "gl")
         if gh.shape != gl.shape or gh.shape[0] != gh.shape[1]:
             raise DimensionMismatch("Gramians must be square and equally sized")
-        if gh.shape[0] != self.n_sub:
-            raise DimensionMismatch("Gramian size must equal the sub-sample count")
-        if self.n_total < self.n_sub or self.n_sub < 1:
+        n_sub = gh.shape[0]
+        # NaN fails the comparison, and a fraction or inf leaves a remainder
+        if not 1 <= n_sub <= self.n_total or self.n_total % 1:
             raise DimensionMismatch(
-                f"need 1 <= n_sub <= n_total, got {self.n_sub}, {self.n_total}"
+                f"need 1 <= n_sub <= n_total with n_total a whole number, "
+                f"got {n_sub}, {self.n_total}"
             )
         if check_gramians:
             parts = []
@@ -192,12 +208,10 @@ class GramianPair:
                 scale = float(np.max(np.abs(g))) or 1.0
                 if np.max(np.abs(g - g.T)) > 1e-10 * scale:
                     raise DimensionMismatch(f"{name} is not symmetric")
-                parts.append(0.5 * (g + g.T))
+                parts.append(_symmetric_part(g))
                 if float(np.linalg.eigvalsh(parts[-1])[0]) < -1e-10 * scale:
                     raise DimensionMismatch(f"{name} is not positive semi-definite")
             gh, gl = parts
-        if abs(self.c - self.n_total / self.n_sub) > 1e-12 * self.c:
-            raise DimensionMismatch("c must equal n_total / n_sub")
         gh.flags.writeable = False
         gl.flags.writeable = False
         object.__setattr__(self, "gh", gh)
@@ -213,16 +227,15 @@ class GramianPair:
             raise SampleMismatch(
                 f"column counts differ: {hc.shape[1]} vs {lc.shape[1]}"
             )
-        n = hc.shape[1]
         # A^T A is positive semi-definite by construction, and numpy forms it
         # with one triangle mirrored, so the pair skips the symmetry scan and
         # the two n x n eigensolves that given matrices get
         pair = object.__new__(cls)
-        for name, value in (("gh", hc.T @ hc), ("gl", lc.T @ lc), ("n_sub", n),
-                            ("n_total", int(n_total)), ("c", n_total / n)):
+        for name, value in (("gh", hc.T @ hc), ("gl", lc.T @ lc),
+                            ("n_total", n_total)):
             object.__setattr__(pair, name, value)
         pair._settle(check_gramians=False)
-        if hc.shape[0] + lc.shape[0] < n:
+        if hc.shape[0] + lc.shape[0] < hc.shape[1]:
             # Gh - tau Gl = Q (core_h - tau core_l) Q^T: the Gramians are
             # projected, not rebuilt from R, so H == L still cancels exactly
             q, _ = np.linalg.qr(np.vstack((hc, lc)).T)
@@ -375,8 +388,6 @@ class BoundReport:
     cl_norm: float
     id_residual: float
     best_tau2: float | None = None
-    subsample_seed: int | None = None
-    subsample_indices: tuple[int, ...] | None = None
 
     def rho_at(self, k: int, tau_index: int) -> float:
         """rho_k at a grid point; NaN when the combination was invalid."""
@@ -399,8 +410,7 @@ def _argmin_first(values: np.ndarray) -> int:
 
 
 def _sweep(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
-           id_residual: float, grid, *, two_tau: bool, subsample_seed,
-           subsample_indices) -> BoundReport:
+           id_residual: float, grid, *, two_tau: bool) -> BoundReport:
     """eps_hat over the grid in one call, the rho term grids, and their minimizer.
 
     With ``two_tau`` the B1 and B2 terms are minimized over tau separately
@@ -435,9 +445,6 @@ def _sweep(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
         cl_norm=float(cl_norm),
         id_residual=float(id_residual),
         best_tau2=float(g[ti2]) if two_tau else None,
-        subsample_seed=subsample_seed,
-        subsample_indices=None if subsample_indices is None
-        else tuple(int(i) for i in subsample_indices),
     )
 
 
@@ -492,31 +499,24 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
 
 
 def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
-                   id_residual: float, grid=None, *,
-                   subsample_seed: int | None = None,
-                   subsample_indices=None) -> BoundReport:
+                   id_residual: float, grid=None) -> BoundReport:
     """Sweep rho_k(tau) over the grid and every k <= rank(L).
 
     Scanning order is ascending tau, then ascending k; ties on the minimum
     value resolve to the earliest point in that order.
     """
-    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=False,
-                  subsample_seed=subsample_seed,
-                  subsample_indices=subsample_indices)
+    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=False)
 
 
 def minimize_bound_two_tau(pair: GramianPair, sigma: SingularSpectrum,
-                           cl_norm: float, id_residual: float, grid=None, *,
-                           subsample_seed: int | None = None,
-                           subsample_indices=None) -> BoundReport:
+                           cl_norm: float, id_residual: float,
+                           grid=None) -> BoundReport:
     """Variant minimizing the B1 and B2 terms over independent tau values.
 
     The feasible set contains every single-tau point, so the result never
     exceeds the single-tau minimum.
     """
-    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=True,
-                  subsample_seed=subsample_seed,
-                  subsample_indices=subsample_indices)
+    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=True)
 
 
 # --------------------------------------------------------------------------

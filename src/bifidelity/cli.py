@@ -265,8 +265,7 @@ def _cmd_bound(args) -> int:
     sigma = singular_values(low.data)
     minimize = minimize_bound_two_tau if args.two_tau else minimize_bound
     report = minimize(
-        pair, sigma, decomposition.coeff_norm(), decomposition.residual_norm,
-        grid, subsample_indices=idx,
+        pair, sigma, decomposition.coeff_norm(), decomposition.residual_norm, grid
     )
     print(f"n_sub: {pair.n_sub} of {pair.n_total}")
     print(f"rank: {decomposition.rank}")
@@ -322,15 +321,12 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except UnicodeEncodeError as exc:
         # a sample id stdout cannot encode, such as a lone surrogate (BFSM
         # sidecars carry any string)

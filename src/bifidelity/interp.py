@@ -85,7 +85,7 @@ def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(r11, compute_uv=False)
     ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
     if ill:
-        return pseudo_inverse(r11, cutoff=1e-12) @ r12
+        return pseudo_inverse(r11) @ r12
     # R11 is upper triangular with a nonzero diagonal, so partial pivoting swaps
     # nothing, the LU leaves R11 unchanged and the solve is one back-substitution
     return np.linalg.solve(r11, r12)

@@ -85,11 +85,11 @@ class SingularSpectrum:
             return 0.0
         return float(self.values[k - 1])
 
-    def numerical_rank(self, rtol: float = DEFAULT_CUTOFF) -> int:
-        """Number of singular values above rtol * sigma_1."""
+    def numerical_rank(self) -> int:
+        """Number of singular values above ``DEFAULT_CUTOFF * sigma_1``."""
         if self.values[0] == 0.0:
             return 0
-        return int(np.count_nonzero(self.values > rtol * self.values[0]))
+        return int(np.count_nonzero(self.values > DEFAULT_CUTOFF * self.values[0]))
 
 
 def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
@@ -206,23 +206,32 @@ def singular_values(a) -> SingularSpectrum:
     return SingularSpectrum(s)
 
 
+def _symmetric_part(s: np.ndarray) -> np.ndarray:
+    """(S + S^T)/2 over the last two axes, computed so that nothing overflows.
+
+    An entry equal to its mirror is kept bit for bit, subnormals included;
+    the others are 0.5 S + 0.5 S^T, bitwise 0.5 (S + S^T) in the normal range.
+    """
+    t = np.swapaxes(s, -1, -2)
+    return np.where(s == t, s, 0.5 * s + 0.5 * t)
+
+
 def lambda_max_symmetric(s):
     """Largest eigenvalue of a symmetric matrix; may be negative.
 
     ``s`` is one n x n matrix (the result is a float) or a stack of shape
     (..., n, n) (the result is an array of shape ``s.shape[:-2]``, entry by
     entry equal to the one-matrix call). Each matrix is symmetrized as
-    (S + S^T)/2 before solving, so mild asymmetry from accumulated roundoff
-    is harmless.
+    (S + S^T)/2 before solving (see :func:`_symmetric_part`), so mild
+    asymmetry from accumulated roundoff is harmless.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("matrix contains NaN or Inf entries")
-    sym = 0.5 * (s + np.swapaxes(s, -1, -2))
     try:
-        lam = np.linalg.eigvalsh(sym)[..., -1]
+        lam = np.linalg.eigvalsh(_symmetric_part(s))[..., -1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
     return float(lam) if s.ndim == 2 else lam
@@ -239,19 +248,17 @@ def spectral_norm(a) -> float:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
 
 
-def pseudo_inverse(a, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
 
-    Singular values <= cutoff * sigma_1 are treated as zero.
+    Singular values <= ``DEFAULT_CUTOFF * sigma_1`` are treated as zero.
     """
     a = _as_matrix(a, "A")
-    if cutoff < 0.0:
-        raise DimensionMismatch(f"cutoff must be >= 0, got {cutoff}")
     u, s, v = svd(a)
     vals = s.values
     if vals[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    keep = vals > cutoff * vals[0]
+    keep = vals > DEFAULT_CUTOFF * vals[0]
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return (v * inv) @ u.T

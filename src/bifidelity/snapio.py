@@ -198,9 +198,7 @@ def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
 def _read_binary(raw: bytes, path) -> SnapshotMatrix:
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{path}: file shorter than the header")
-    magic, version, dim, n_samples = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: expected magic {MAGIC!r}, found {magic!r}")
+    _, version, dim, n_samples = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise VersionUnsupported(f"{path}: unsupported version {version}")
     if 8 * max(dim, n_samples) > np.iinfo(np.intp).max:
@@ -266,20 +264,17 @@ def _read_csv(text: str, path) -> SnapshotMatrix:
     return SnapshotMatrix(data=data, sample_ids=ids)
 
 
-def read_snapshots(path, fmt: str | None = None) -> SnapshotMatrix:
-    """Read a snapshot file; format sniffed by magic unless forced."""
+def read_snapshots(path) -> SnapshotMatrix:
+    """Read a snapshot file: BFSM binary when it starts with the magic,
+    CSV otherwise (:class:`BadMagic` when it is not UTF-8 text)."""
     raw = Path(path).read_bytes()
-    if fmt is None:
-        fmt = "bfsm" if raw[:4] == MAGIC else "csv"
-    if fmt == "bfsm":
+    if raw[:4] == MAGIC:
         return _read_binary(raw, path)
-    if fmt == "csv":
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BadMagic(f"{path}: neither BFSM binary nor parseable CSV") from exc
-        return _read_csv(text, path)
-    raise DimensionMismatch(f"unknown snapshot format {fmt!r}")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadMagic(f"{path}: neither BFSM binary nor parseable CSV") from exc
+    return _read_csv(text, path)
 
 
 # --------------------------------------------------------------------------

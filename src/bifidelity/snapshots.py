@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, SampleMismatch
+from .errors import DimensionMismatch, SampleMismatch
+from .linalg import _as_matrix
 
 __all__ = ["SnapshotMatrix", "aligned_sample_ids"]
 
@@ -23,14 +24,8 @@ class SnapshotMatrix:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2:
-            raise DimensionMismatch(f"snapshot data must be 2-D, got ndim={d.ndim}")
         # no columns is legal: the high-fidelity skeleton of a rank-0 rule
-        if d.shape[0] < 1:
-            raise DimensionMismatch("snapshot data must have at least one row")
-        if not np.all(np.isfinite(d)):
-            raise NonFiniteInput("snapshot data contains NaN or Inf entries")
+        d = _as_matrix(self.data, "snapshot data", allow_no_columns=True)
         ids = tuple(str(s) for s in self.sample_ids)
         if len(ids) != d.shape[1]:
             raise DimensionMismatch(

@@ -277,7 +277,7 @@ def test_sweep_peak_memory_is_a_few_chunks():
     n = 300
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((n + 5, n)), rng.standard_normal((n + 5, n))
-    pair = GramianPair(gh=a.T @ a, gl=b.T @ b, n_sub=n, n_total=n, c=1.0)
+    pair = GramianPair(gh=a.T @ a, gl=b.T @ b, n_total=n)
     grid = default_tau_grid()
     tracemalloc.start()
     try:
@@ -723,8 +723,12 @@ def test_from_columns_skips_the_checks_given_gramians_get(monkeypatch, dim_h, di
                         lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
     built = GramianPair.from_columns(hc, lc, n_total=16)
     assert shapes == []
-    given = GramianPair(gh=built.gh, gl=built.gl, n_sub=8, n_total=16, c=2.0)
+    given = GramianPair(gh=built.gh, gl=built.gl, n_total=16)
     assert shapes == [(8, 8), (8, 8)]
+    # n_sub and c are derived from the Gramians' size, the same for both
+    for pair in (built, given):
+        assert type(pair.n_sub) is int and pair.n_sub == 8
+        assert np.float64(pair.c).tobytes() == np.float64(2.0).tobytes()
     monkeypatch.undo()
     if dim_h + dim_l >= 8:  # both read the n x n pencil: same eps bits
         grid = default_tau_grid()
@@ -740,7 +744,16 @@ def test_from_columns_skips_the_checks_given_gramians_get(monkeypatch, dim_h, di
 def test_given_gramians_are_still_checked(name, bad, message):
     pair = {"gh": np.eye(2), "gl": np.eye(2), name: bad}
     with pytest.raises(DimensionMismatch, match=f"^{name} {message}$"):
-        GramianPair(**pair, n_sub=2, n_total=2, c=1.0)
+        GramianPair(**pair, n_total=2)
+
+
+@pytest.mark.parametrize("n_total", [7, 16.9, np.nan, np.inf])
+def test_n_total_must_be_a_whole_number_of_at_least_n_sub(n_total):
+    cols = np.random.default_rng(2).standard_normal((3, 8))
+    with pytest.raises(DimensionMismatch, match="^need 1 <= n_sub <= n_total"):
+        GramianPair.from_columns(cols, cols, n_total=n_total)
+    with pytest.raises(DimensionMismatch, match="^need 1 <= n_sub <= n_total"):
+        GramianPair(gh=cols.T @ cols, gl=np.eye(8), n_total=n_total)
 
 
 # --------------------------------------------------------------------------
@@ -839,7 +852,7 @@ def test_nearly_symmetric_given_gramians_move_eps_by_rounding_only(seed, n, rows
                                 rng.standard_normal((int(rng.integers(1, 30)), n)))]
     for g in (gh, gl):
         g += np.triu(rng.uniform(-1.0, 1.0, g.shape), 1) * np.max(g) * 10.0 ** rel / n
-    pair = GramianPair(gh=gh, gl=gl, n_sub=n, n_total=2 * n, c=2.0)
+    pair = GramianPair(gh=gh, gl=gl, n_total=2 * n)
     assert np.array_equal(pair.gh, pair.gh.T) and np.array_equal(pair.gl, pair.gl.T)
     grid = np.concatenate(([0.0], 10.0 ** rng.uniform(-6, 6, 30)))
     eps = epsilon_estimated(pair, grid)
@@ -851,9 +864,24 @@ def test_nearly_symmetric_given_gramians_move_eps_by_rounding_only(seed, n, rows
 def test_exactly_symmetric_given_gramians_are_kept_bit_for_bit():
     a = np.random.default_rng(4).standard_normal((7, 5))
     gh, gl = a.T @ a, np.eye(5)
-    pair = GramianPair(gh=gh, gl=gl, n_sub=5, n_total=5, c=1.0)
+    pair = GramianPair(gh=gh, gl=gl, n_total=5)
     assert pair.gh.tobytes() == gh.tobytes() and pair.gl.tobytes() == gl.tobytes()
     assert pair.gh is not gh and gh.flags.writeable  # the caller's stay theirs
+
+
+def test_exactly_symmetric_subnormal_gramian_is_kept_bit_for_bit():
+    # 0.5 * g rounds every one of these entries: the pair must keep g itself
+    gh = np.nextafter(0.0, 1.0) * np.array([[3.0, 1.0], [1.0, 3.0]])
+    pair = GramianPair(gh=gh, gl=np.eye(2), n_total=2)
+    assert pair.gh.tobytes() == gh.tobytes()
+
+
+def test_given_gramian_above_half_the_largest_double_does_not_overflow():
+    # (G + G^T) / 2 of the corner entry would overflow if formed as written
+    gh = np.array([[1e308, 0.0], [0.0, 1.0]])
+    pair = GramianPair(gh=gh, gl=np.eye(2), n_total=2)
+    assert pair.gh.tobytes() == gh.tobytes()
+    assert epsilon_estimated(pair, np.array([0.0, 1.0, 1e6])).tolist() == [1e308] * 3
 
 
 def test_eigensolver_failure_is_no_convergence(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifidelity.errors import (
     NoConvergence,
@@ -9,6 +11,7 @@ from bifidelity.errors import (
 )
 from bifidelity.linalg import (
     SingularSpectrum,
+    _symmetric_part,
     lambda_max_symmetric,
     pivoted_qr,
     pseudo_inverse,
@@ -151,6 +154,20 @@ def test_lambda_max_matches_jacobi_oracle():
     lam = lambda_max_symmetric(sym)
     oracle = jacobi_eigvalsh(sym)[-1]
     assert abs(lam - oracle) <= 1e-10 * max(abs(oracle), 1.0)
+
+
+def test_lambda_max_above_half_the_largest_double():
+    assert lambda_max_symmetric(np.array([[1e308, 0.0], [0.0, 1.0]])) == 1e308
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_symmetric_part_is_the_plain_formula_in_the_normal_range(seed, n):
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((3, n, n)) * 10.0 ** rng.integers(-300, 300, (3, n, n))
+    s[0] = s[0] + s[0].T  # exactly symmetric, entry by entry
+    expected = 0.5 * (s + np.swapaxes(s, -1, -2))
+    assert _symmetric_part(s).tobytes() == expected.tobytes()
 
 
 def test_lambda_max_rejects_rectangular():

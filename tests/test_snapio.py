@@ -108,9 +108,9 @@ def test_csv_rejects_nan_naming_position(tmp_path):
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.bfsm"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
+    path.write_bytes(b"NOPE\xff" + b"\x00" * 40)  # neither BFSM nor UTF-8
     with pytest.raises(BadMagic):
-        read_snapshots(path, fmt="bfsm")
+        read_snapshots(path)
 
 
 def test_unsupported_version(tmp_path):
