@@ -45,6 +45,7 @@ from .errors import (
 from .interp import build_id
 from .linalg import (
     SingularSpectrum,
+    _all_finite,
     _as_matrix,
     _symmetric_part,
     singular_values,
@@ -454,14 +455,17 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     the validated ``grid``, from eps at only the points that can hold the
     minimum.
 
-    The first pass evaluates every ``PRUNE_STRIDE``-th point and the last;
-    each further pass evaluates the midpoints of the gaps between evaluated
-    points that are still open. Gl is positive semi-definite, so eps does not
-    increase with tau, and rho_k increases with tau and eps: every valid cell
-    in a gap (a, b) is at least rho_k at (tau_a, eps(b) - slack) with the
-    radicands floored at 0. The slack, 8 n u c (||Gh||_F + tau_b ||Gl||_F)
-    with u = 2.2e-16 and n the size of the pencil solved (n x n or reduced),
-    covers the rounding of the Gramians, the pencil and the eigensolve.
+    When the pencils of the whole grid fit in one ``EPS_CHUNK_BYTES`` chunk,
+    one eigensolve call takes them all and pruning cannot pay: the grid is
+    swept whole. Otherwise the first pass evaluates every
+    ``PRUNE_STRIDE``-th point and the last; each further pass evaluates the
+    midpoints of the gaps between evaluated points that are still open. Gl is
+    positive semi-definite, so eps does not increase with tau, and rho_k
+    increases with tau and eps: every valid cell in a gap (a, b) is at least
+    rho_k at (tau_a, eps(b) - slack) with the radicands floored at 0. The
+    slack, 8 n u c (||Gh||_F + tau_b ||Gl||_F) with u = 2.2e-16 and n the size
+    of the pencil solved (n x n or reduced), covers the rounding of the
+    Gramians, the pencil and the eigensolve.
 
     A gap is ruled out only when that bound exceeds the best value so far at
     every k, so ties still go to the first point; eps of a point does not
@@ -470,6 +474,21 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     ``NonFiniteInput``; with no valid cell nothing is ruled out, so
     ``AllCombinationsInvalid`` is raised alike.
     """
+    gh, gl = pair._pencil
+    if grid.size * gh.nbytes <= EPS_CHUNK_BYTES:
+        term1, term2 = _rho_terms(grid, epsilon_estimated(pair, grid), sigma,
+                                  cl_norm, id_residual)
+        cells = term1 + term2
+    else:
+        cells = _pruned_cells(pair, sigma, cl_norm, id_residual, grid)
+    ti, ki = np.unravel_index(_argmin_first(cells), cells.shape)
+    return float(cells[ti, ki]), int(ti), int(ki) + 1
+
+
+def _pruned_cells(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
+                  id_residual: float, grid: np.ndarray) -> np.ndarray:
+    """The (n_tau, rank) rho grid of :func:`_best_rho`'s pruned search, NaN
+    at every cell not evaluated or invalid."""
     gh, gl = pair._pencil
     unit = 8.0 * gh.shape[0] * np.finfo(np.float64).eps * pair.c
     with np.errstate(over="ignore"):
@@ -494,8 +513,7 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
         a, b = a[open_], b[open_]
         todo = (a + b) // 2
         a, b = np.concatenate((a, todo)), np.concatenate((todo, b))
-    ti, ki = np.unravel_index(_argmin_first(cells), cells.shape)
-    return float(cells[ti, ki]), int(ti), int(ki) + 1
+    return cells
 
 
 def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
@@ -538,10 +556,49 @@ class EfficacyResult:
         return float(np.mean(self.ratios))
 
 
+def _lifting_error(high: np.ndarray, skeleton: np.ndarray,
+                   coeffs: np.ndarray) -> float:
+    """||H - H_S C||_2 from the Gram side, without forming the residual.
+
+    With R = H - H_S C (m x N) and m <= N, the result is sqrt(lambda_max(G))
+    for G = sum_j R_j R_j^T over column blocks R_j = H_j - H_S C_j of width
+    max(m, N // m): no block holds more than G or one row of R, and there are
+    at most about sqrt(N) of them. For m > N the same runs on R^T, so G is
+    always the smaller Gram. Each block is scaled by 2^-e with max|H| < 2^e,
+    which is exact and keeps the squares from overflowing or underflowing.
+    The result is sigma_1(R) to a relative error of a few (m + sqrt(N)) u
+    (u = 2^-53): about m u from the eigensolve, whose error is a few m u ||G||,
+    and sqrt(N) u from the length-N sums that form G. An exactly zero R gives
+    0.0.
+    """
+    if high.shape[0] > high.shape[1]:
+        # R^T = H^T - C^T H_S^T: the row blocks of R are column blocks of R^T
+        high, skeleton, coeffs = high.T, coeffs.T, skeleton.T
+    m, n = high.shape
+    _, e = np.frexp(max(high.max(), -high.min()))
+    width = max(m, n // m)
+    gram = np.zeros((m, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for start in range(0, n, width):
+            cols = slice(start, start + width)
+            block = skeleton @ coeffs[:, cols]
+            np.subtract(high[:, cols], block, out=block)
+            np.ldexp(block, -e, out=block)
+            gram += block @ block.T
+    if not _all_finite(gram):
+        raise NonFiniteInput("the lifting error H - H_hat overflows")
+    try:
+        lam = float(np.linalg.eigvalsh(gram)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
+    return float(np.ldexp(np.sqrt(lam), e)) if lam > 0.0 else 0.0
+
+
 def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
                    n_sub: int, trials: int, seed: int, grid=None) -> EfficacyResult:
     """Repeatedly sub-sample n columns, find the bound sweep's best_rho, and
-    divide by the true lifting error ||H - H_hat||.
+    divide by the true lifting error ||H - H_hat||, which
+    :func:`_lifting_error` takes from the Gram side.
 
     A trial needs only best_rho, so it evaluates eps at the grid points the
     pruned search of :func:`_best_rho` cannot rule out; the ratios are
@@ -569,9 +626,8 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
         )
 
     decomposition = build_id(low, rank=rank)
-    # H - H_hat in the buffer of H_hat: one temporary of the size of H
-    residual = high.data[:, list(decomposition.selected)] @ decomposition.coeffs
-    true_error = spectral_norm(np.subtract(high.data, residual, out=residual))
+    true_error = _lifting_error(high.data, high.data[:, list(decomposition.selected)],
+                                decomposition.coeffs)
     # ||H||_2 <= ||H||_F, so only a true error near the noise floor of the
     # Frobenius norm needs the SVD of H to decide; the factor covers the
     # rounding of both norms, and the floor keeps the squares from underflow

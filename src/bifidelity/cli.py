@@ -232,9 +232,9 @@ def _cmd_lift(args) -> int:
                 f"match the required ids {list(needed)}"
             )
     model = lift(decomposition, skeleton.data, sample_ids=skeleton.sample_ids)
-    estimate = SnapshotMatrix(
-        data=evaluate_all(model),
-        sample_ids=ids if ids is not None
+    estimate = SnapshotMatrix._adopt(
+        evaluate_all(model),
+        ids if ids is not None
         else tuple(f"col-{j:06d}" for j in range(decomposition.n_samples)),
     )
     write_snapshots(estimate, args.out, fmt=args.format,

@@ -45,9 +45,15 @@ def _as_matrix(a, name: str = "matrix", *, allow_no_columns: bool = False) -> np
         raise DimensionMismatch(f"{name} must have at least one row")
     if m.shape[1] < 1 and not allow_no_columns:
         raise DimensionMismatch(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(m)):
+    if not _all_finite(m):
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
     return m
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, without a temporary the size
+    of ``a``: min and max propagate NaN, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 @dataclass(frozen=True)

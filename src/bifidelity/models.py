@@ -214,10 +214,7 @@ def beam_pair(
     ids = tuple(s.id for s in samples)
     high = np.column_stack([beam_hifi_substitute(s, cfg) for s in samples])
     low = np.column_stack([beam_lofi(s, cfg) for s in samples])
-    return (
-        SnapshotMatrix(data=high, sample_ids=ids),
-        SnapshotMatrix(data=low, sample_ids=ids),
-    )
+    return SnapshotMatrix._adopt(high, ids), SnapshotMatrix._adopt(low, ids)
 
 
 # --------------------------------------------------------------------------
@@ -352,9 +349,11 @@ def diffusion_pair(
         x = np.linspace(0.0, 1.0, n_nodes)
         half_basis = np.sin(np.pi * np.outer(0.5 * (x[:-1] + x[1:]), modes))
         node_basis = np.sin(np.pi * np.outer(x, modes))
-        flux = np.empty((n_nodes, len(samples)))
+        # column-major, as a BFSM file holds it: a block of samples is one
+        # contiguous stretch, and writing the matrix needs no transposed copy
+        flux = np.empty((n_nodes, len(samples)), order="F")
         for start in range(0, len(samples), SOLVE_BLOCK):
             block = slice(start, start + SOLVE_BLOCK)
             flux[:, block] = _solve_flux(weights[block], x, half_basis, node_basis)
-        fluxes.append(SnapshotMatrix(data=flux, sample_ids=ids))
+        fluxes.append(SnapshotMatrix._adopt(flux, ids))
     return fluxes[0], fluxes[1]

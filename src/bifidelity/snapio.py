@@ -46,6 +46,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .interp import InterpDecomposition
+from .linalg import _all_finite
 from .snapshots import SnapshotMatrix
 
 __all__ = [
@@ -181,8 +182,8 @@ def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
     """Write a snapshot matrix; ``fmt`` is ``bfsm`` (binary) or ``csv``."""
     if fmt == "bfsm":
         header = _HEADER.pack(MAGIC, VERSION, matrix.dim, matrix.n_samples)
-        # the transpose of the column-major copy is C-contiguous: the file
-        # takes its buffer as is, with no bytes copy of the payload
+        # the transpose of column-major data is C-contiguous: the file takes
+        # its buffer as is, with no bytes copy; only row-major data is copied
         _atomic_write(path, header, np.asfortranarray(matrix.data).T)
         _write_sidecar(path, matrix.sample_ids, provenance)
         return
@@ -216,9 +217,8 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
         raise TruncatedPayload(f"{path}: {len(raw) - expected} trailing bytes")
     flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     data = flat.reshape((dim, n_samples), order="F")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
+    if not _all_finite(data):
+        i, j = np.argwhere(~np.isfinite(data))[0]
         raise NonFiniteEntry(f"{path}: non-finite value at row {i}, column {j}")
     ids = _read_sidecar(path)
     if ids is None:
@@ -227,6 +227,7 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
         raise DimensionMismatch(
             f"{path}: sidecar lists {len(ids)} ids for {n_samples} columns"
         )
+    # read-only over the file's bytes: the matrix keeps it without a copy
     return SnapshotMatrix(data=data, sample_ids=tuple(ids))
 
 
@@ -261,7 +262,7 @@ def _read_csv(text: str, path) -> SnapshotMatrix:
     sidecar_ids = _read_sidecar(path)
     if sidecar_ids is not None and tuple(sidecar_ids) != ids:
         raise DimensionMismatch(f"{path}: sidecar ids disagree with the CSV header")
-    return SnapshotMatrix(data=data, sample_ids=ids)
+    return SnapshotMatrix._adopt(data, ids)
 
 
 def read_snapshots(path) -> SnapshotMatrix:

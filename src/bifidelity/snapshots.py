@@ -18,12 +18,30 @@ __all__ = ["SnapshotMatrix", "aligned_sample_ids"]
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """A dim x n_samples matrix of QoI vectors plus per-column sample ids."""
+    """A dim x n_samples matrix of QoI vectors plus per-column sample ids.
+
+    ``data`` is read-only and held by no one who can write it: an array is
+    copied (in C order) unless it is read-only over an immutable ``bytes``
+    object, as a BFSM read is, which is kept as it is.
+    """
 
     data: np.ndarray
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
+        self._settle(adopt=False)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, sample_ids) -> "SnapshotMatrix":
+        """Wrap an array the package has just built and no one else holds,
+        without a copy; the array becomes read-only."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "data", data)
+        object.__setattr__(matrix, "sample_ids", sample_ids)
+        matrix._settle(adopt=True)
+        return matrix
+
+    def _settle(self, adopt: bool) -> None:
         # no columns is legal: the high-fidelity skeleton of a rank-0 rule
         d = _as_matrix(self.data, "snapshot data", allow_no_columns=True)
         ids = tuple(str(s) for s in self.sample_ids)
@@ -33,7 +51,8 @@ class SnapshotMatrix:
             )
         if len(set(ids)) != len(ids):
             raise DimensionMismatch("sample ids must be distinct")
-        d = d.copy()
+        if not (adopt or _immutable(d)):
+            d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "sample_ids", ids)
@@ -58,10 +77,19 @@ class SnapshotMatrix:
     def columns(self, indices) -> "SnapshotMatrix":
         """Sub-matrix of the given columns, keeping their ids."""
         idx = list(indices)
-        return SnapshotMatrix(
-            data=self.data[:, idx],
-            sample_ids=tuple(self.sample_ids[j] for j in idx),
-        )
+        # a list index gathers into a new array
+        return SnapshotMatrix._adopt(self.data[:, idx],
+                                     tuple(self.sample_ids[j] for j in idx))
+
+
+def _immutable(a: np.ndarray) -> bool:
+    """Whether no one can write ``a``: it is read-only and its chain of bases
+    ends in a ``bytes`` object."""
+    if a.flags.writeable:
+        return False
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return type(a) is bytes
 
 
 def aligned_sample_ids(high: SnapshotMatrix, low: SnapshotMatrix) -> None:

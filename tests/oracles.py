@@ -22,7 +22,8 @@ bound's closed-form caps, not its factorisations.
 
 ``efficacy_full_sweep`` is the efficacy study's former per-trial loop, one
 full ``minimize_bound`` sweep per sub-sample, against which the study's
-pruned best-rho search must agree bit for bit.
+pruned best-rho search must agree bit for bit. Its true error goes through
+the study's own Gram-side kernel, which the accuracy tests hold to the SVD.
 
 Finally, ``eps_lambda_max_symmetric`` is the former eps kernel, which sent
 each chunk of pencils through ``lambda_max_symmetric`` (a finiteness scan
@@ -34,11 +35,12 @@ symmetric.
 import numpy as np
 import scipy.linalg
 
-from bifidelity.bound import EPS_CHUNK_BYTES, GramianPair, minimize_bound
+from bifidelity.bound import (EPS_CHUNK_BYTES, GramianPair, _lifting_error,
+                             minimize_bound)
 from bifidelity.errors import KOutOfRange, ToleranceUnreachable
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
 from bifidelity.linalg import (lambda_max_symmetric, pivoted_qr, pseudo_inverse,
-                               singular_values, spectral_norm, svd)
+                               singular_values, svd)
 from bifidelity.snapshots import aligned_sample_ids
 
 
@@ -278,8 +280,8 @@ def efficacy_full_sweep(high, low, rank, n_sub, trials, seed, grid=None):
     ``minimize_bound`` over the whole grid. No degenerate-error check."""
     aligned_sample_ids(high, low)
     dec = build_id(low, rank=rank)
-    h_hat = high.data[:, list(dec.selected)] @ dec.coeffs
-    true_error = spectral_norm(high.data - h_hat)
+    true_error = _lifting_error(high.data, high.data[:, list(dec.selected)],
+                                dec.coeffs)
     sigma = singular_values(low.data)
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)

@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifidelity import bound
@@ -13,6 +14,7 @@ from bifidelity.bound import (
     PRUNE_STRIDE,
     GramianPair,
     _best_rho,
+    _lifting_error,
     default_tau_grid,
     efficacy_study,
     epsilon_estimated,
@@ -524,7 +526,8 @@ def test_efficacy_skips_the_svd_of_h_away_from_the_noise_floor(monkeypatch):
                         lambda a: calls.append(np.shape(a)) or real(a))
     high, low = wide_pair(16)
     efficacy_study(high, low, rank=2, n_sub=4, trials=2, seed=3)
-    assert len(calls) == 1  # ||H - H_hat|| only: ||H||_F decides
+    # ||H - H_hat|| comes from the Gram side, and ||H||_F decides the floor
+    assert len(calls) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -543,7 +546,7 @@ def test_degenerate_decision_matches_the_spectral_norm_rule(seed, factor, spread
     unit = spectral_norm(pert - pert[:, cols] @ dec.coeffs)
     h = mix @ low
     h = h + factor * DEGENERATE_ERROR_RTOL * spectral_norm(h) / unit * pert
-    true_error = spectral_norm(h - h[:, cols] @ dec.coeffs)
+    true_error = _lifting_error(h, h[:, cols], dec.coeffs)
     h_norm = spectral_norm(h)
     if true_error <= DEGENERATE_ERROR_RTOL * h_norm:
         with pytest.raises(DegenerateError) as info:
@@ -555,6 +558,82 @@ def test_degenerate_decision_matches_the_spectral_norm_rule(seed, factor, spread
         result = efficacy_study(snap(h), snap(low), rank=4, n_sub=6, trials=1,
                                 seed=0)
         assert result.true_error == true_error
+
+
+# --------------------------------------------------------------------------
+# the true lifting error from the Gram side
+# --------------------------------------------------------------------------
+
+U = 2.0**-53
+
+
+def assert_within_the_stated_error(got, r):
+    """The kernel's accuracy: sigma_1(R) to a relative error of a few
+    (m + sqrt(N)) u, with m <= N the sides of R."""
+    ref = float(np.linalg.svd(r, compute_uv=False)[0])
+    m, n = sorted(r.shape)
+    assert abs(got - ref) <= 4.0 * (m + np.sqrt(n)) * U * ref, (got, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 50), n=st.integers(1, 50),
+       kind=st.sampled_from(["dense", "rank-one", "graded"]),
+       scale=st.sampled_from([1.0, 1e-200, 1e200]))
+@example(seed=0, m=3, n=10, kind="dense", scale=1.0)  # blocks of 3, 3, 3 and 1
+@example(seed=1, m=40, n=101, kind="dense", scale=1e200)  # 40, 40 and 21
+@example(seed=2, m=101, n=7, kind="graded", scale=1e-200)  # row blocks, m > N
+def test_lifting_error_matches_the_svd(seed, m, n, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "rank-one":
+        r = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    elif kind == "graded":
+        r = rng.standard_normal((m, n)) * 10.0 ** -rng.uniform(0, 8, n)
+    else:
+        r = rng.standard_normal((m, n))
+    r *= scale  # squares of either scale leave the double range
+    got = _lifting_error(r, np.zeros((m, 1)), np.zeros((1, n)))
+    assert_within_the_stated_error(got, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(2, 40))
+def test_lifting_error_of_a_lift_matches_the_svd_of_its_residual(seed, m, n):
+    rng = np.random.default_rng(seed)
+    high = rng.standard_normal((m, n))
+    cols = list(np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False)))
+    coeffs = rng.standard_normal((len(cols), n))
+    got = _lifting_error(high, high[:, cols], coeffs)
+    assert_within_the_stated_error(got, high - high[:, cols] @ coeffs)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 10), (10, 3), (40, 101)])
+def test_lifting_error_of_an_exactly_zero_residual_is_zero(m, n):
+    high = np.random.default_rng(m).standard_normal((m, n))
+    for args in ((np.zeros((m, n)), np.zeros((m, 1)), np.zeros((1, n))),
+                 (high, high, np.eye(n))):  # every column selected
+        got = _lifting_error(*args)
+        assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
+def test_lifting_error_that_overflows_is_a_nonfinite_input():
+    high = np.full((3, 4), 1e308)
+    with pytest.raises(NonFiniteInput, match="overflows"):
+        _lifting_error(high, high[:, :1], np.full((1, 4), -1.0))  # H + H = inf
+
+
+def test_lifting_error_never_forms_the_residual():
+    rng = np.random.default_rng(3)
+    high = rng.standard_normal((200, 2000))
+    cols = list(range(0, 2000, 200))
+    coeffs = rng.standard_normal((len(cols), 2000))
+    tracemalloc.start()
+    try:
+        _lifting_error(high, high[:, cols], coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few 200 x 200 blocks and the Gram; the residual alone is 3.2 MB
+    assert peak <= 0.5 * high.nbytes, peak
 
 
 # --------------------------------------------------------------------------
@@ -670,6 +749,38 @@ def test_best_rho_evaluates_a_fraction_of_the_default_grid(monkeypatch):
     assert np.median(counts) <= 50, counts
 
 
+def pair_past_one_chunk(grid):
+    """An identity pair whose pencils over ``grid`` overflow one eps chunk,
+    so that :func:`_best_rho` takes the pruned search."""
+    n = math.isqrt(EPS_CHUNK_BYTES // (8 * grid.size)) + 1
+    return GramianPair.from_columns(np.eye(n), np.eye(n), n_total=n)
+
+
+@pytest.mark.parametrize("n_sub", [12, 13])
+def test_best_rho_sweeps_a_grid_in_one_call_when_its_pencils_fit_one_chunk(
+        monkeypatch, n_sub):
+    """202 pencils of 12 x 12 take 233 KB of the 256 KB chunk, of 13 x 13
+    273 KB: the first grid is swept whole, the second pruned."""
+    cfg = DiffusionConfig()
+    high, low = diffusion_pair(draw_diffusion_samples(200, seed=5, cfg=cfg), cfg)
+    dec = build_id(low, rank=10)
+    sigma = singular_values(low.data)
+    grid = default_tau_grid()
+    calls = []
+    real = bound.epsilon_estimated
+    monkeypatch.setattr(bound, "epsilon_estimated",
+                        lambda pair, tau: calls.append(np.size(tau)) or real(pair, tau))
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        idx = np.sort(rng.choice(200, size=n_sub, replace=False))
+        pair = GramianPair.from_snapshots(high, low, idx)
+        calls.clear()
+        assert_best_rho_is_the_sweep_minimum(pair, sigma, dec.coeff_norm(),
+                                             dec.residual_norm, grid)
+        searched = calls[1:]  # the first call is the full sweep's
+        assert (searched == [grid.size]) == (n_sub == 12), searched
+
+
 def eps_table(monkeypatch, grid, values):
     """Route eps through a table of the grid's values, as chunked calls do."""
     table = dict(zip(grid.tolist(), values))
@@ -687,7 +798,7 @@ def test_best_rho_leaves_a_tie_with_the_bound_open(monkeypatch):
     grid = np.linspace(0.0, 1.0, 3 * PRUNE_STRIDE)
     first_zero = PRUNE_STRIDE + 3
     eps_table(monkeypatch, grid, [1.0] * first_zero + [0.0] * (grid.size - first_zero))
-    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
+    pair = pair_past_one_chunk(grid)
     sigma = SingularSpectrum(np.array([1.0]))
     assert minimize_bound(pair, sigma, 0.0, 0.0, grid).best_tau == grid[first_zero]
     assert _best_rho(pair, sigma, 0.0, 0.0, grid) == (0.0, first_zero, 1)
@@ -702,7 +813,7 @@ def test_best_rho_slack_covers_a_rounding_dip(monkeypatch):
     values[PRUNE_STRIDE] = 1.0
     values[PRUNE_STRIDE + 5] = 1.0 - 2.0**-52
     eps_table(monkeypatch, grid, values)
-    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
+    pair = pair_past_one_chunk(grid)
     sigma = SingularSpectrum(np.array([1.0]))
     assert minimize_bound(pair, sigma, 0.0, 0.0, grid).best_tau == grid[PRUNE_STRIDE + 5]
     assert _best_rho(pair, sigma, 0.0, 0.0, grid) == (

@@ -247,8 +247,9 @@ def test_diffusion_pivot_lost_to_rounding_is_a_solver_failure():
 
 
 def test_diffusion_pair_memory_on_the_bench_study():
-    """2000 samples on the 16/1024 meshes: the outputs and their snapshot
-    copies are 33 MB; one sweep over every sample at once peaked at 156."""
+    """2000 samples on the 16/1024 meshes: the outputs are 16.6 MB, which the
+    snapshot matrices keep without a copy, and a block's temporaries add
+    about 7 MB; one sweep over every sample at once peaked at 156."""
     cfg = DiffusionConfig(mesh_low=16, mesh_high=1024)
     samples = draw_diffusion_samples(2000, seed=1, cfg=cfg)
     tracemalloc.start()
@@ -257,4 +258,4 @@ def test_diffusion_pair_memory_on_the_bench_study():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6, peak
+    assert peak <= 25e6, peak

@@ -366,3 +366,92 @@ def test_bfsm_write_holds_at_most_one_copy_of_the_payload(tmp_path, order):
     assert peak <= 1.25 * data.nbytes
     raw = (tmp_path / "m.bfsm").read_bytes()
     assert raw[24:] == m.data.tobytes(order="F")
+
+
+# --------------------------------------------------------------------------
+# who holds a snapshot matrix's data
+# --------------------------------------------------------------------------
+
+def _sources(data):
+    """(array handed to SnapshotMatrix, a caller-side write or None, the
+    caller's own buffer) for each way a caller can hold the data."""
+    shape = data.shape
+    a = data.copy()
+    yield a, lambda: a.__iadd__(1.0), a
+    b = data.copy()
+    yield b[:, ::-1][:, ::-1], lambda: b.__iadd__(1.0), b  # a writable view
+    big = np.zeros((shape[0], 2 * shape[1]))
+    big[:, ::2] = data
+    yield big[:, ::2], lambda: big.__iadd__(1.0), big  # a strided view
+    c = data.copy()
+    ro = c.view()
+    ro.flags.writeable = False
+    yield ro, lambda: c.__iadd__(1.0), c  # read-only view of a writable array
+    for writeable in (True, False):
+        buf = bytearray(data.tobytes(order="F"))
+        arr = np.frombuffer(buf).reshape(shape, order="F")
+        arr.flags.writeable = writeable
+
+        def rewrite(buf=buf):
+            buf[:] = (data + 1.0).tobytes(order="F")
+        yield arr, rewrite, arr
+    raw = data.tobytes(order="F")
+    yield np.frombuffer(raw).reshape(shape, order="F"), None, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                       elements=st.floats(-1e6, 1e6)))
+def test_no_caller_side_write_reaches_a_snapshot_matrix(data):
+    ids = tuple(f"s{j}" for j in range(data.shape[1]))
+    for src, write, owner in _sources(data):
+        m = SnapshotMatrix(src, ids)
+        before = m.data.tobytes()
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 1.0
+        if write is None:
+            # read-only over immutable bytes: kept without a copy
+            assert np.shares_memory(m.data, src)
+            continue
+        assert not np.shares_memory(m.data, owner)
+        write()
+        assert m.data.tobytes() == before
+        sub = m.columns([0])
+        assert not sub.data.flags.writeable
+        assert not np.shares_memory(sub.data, m.data)
+
+
+@pytest.mark.parametrize("fmt", ["bfsm", "csv"])
+def test_a_read_matrix_is_read_only_and_its_own(tmp_path, fmt):
+    m = sample_matrix(seed=5)
+    path = tmp_path / f"m.{fmt}"
+    write_snapshots(m, path, fmt=fmt)
+    back = read_snapshots(path)
+    assert not back.data.flags.writeable
+    with pytest.raises(ValueError):
+        back.data[0, 0] = 1.0
+    if fmt == "bfsm":
+        # the file's bytes, column-major as stored
+        base = back.data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert type(base) is bytes and back.data.flags.f_contiguous
+    path.write_bytes(path.read_bytes()[:-8] + b"\0" * 8)
+    assert back.data.tobytes() == m.data.tobytes()
+
+
+def test_reading_the_bench_study_h_holds_the_payload_once(tmp_path):
+    """A 1024 x 2000 BFSM (15.6 MB): the matrix keeps the bytes it read."""
+    dim, n = 1024, 2000
+    path = tmp_path / "h.bfsm"
+    write_snapshots(SnapshotMatrix(np.random.default_rng(6).standard_normal((dim, n)),
+                                   tuple(f"s{j:04d}" for j in range(n))), path)
+    tracemalloc.start()
+    try:
+        m = read_snapshots(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.shape == (dim, n)
+    assert peak <= 1.1 * 8 * dim * n, peak
