@@ -455,17 +455,14 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     the validated ``grid``, from eps at only the points that can hold the
     minimum.
 
-    When the pencils of the whole grid fit in one ``EPS_CHUNK_BYTES`` chunk,
-    one eigensolve call takes them all and pruning cannot pay: the grid is
-    swept whole. Otherwise the first pass evaluates every
-    ``PRUNE_STRIDE``-th point and the last; each further pass evaluates the
-    midpoints of the gaps between evaluated points that are still open. Gl is
-    positive semi-definite, so eps does not increase with tau, and rho_k
-    increases with tau and eps: every valid cell in a gap (a, b) is at least
-    rho_k at (tau_a, eps(b) - slack) with the radicands floored at 0. The
-    slack, 8 n u c (||Gh||_F + tau_b ||Gl||_F) with u = 2.2e-16 and n the size
-    of the pencil solved (n x n or reduced), covers the rounding of the
-    Gramians, the pencil and the eigensolve.
+    The first pass evaluates every ``PRUNE_STRIDE``-th point and the last;
+    each further pass evaluates the midpoints of the gaps between evaluated
+    points that are still open. Gl is positive semi-definite, so eps does not
+    increase with tau, and rho_k increases with tau and eps: every valid cell
+    in a gap (a, b) is at least rho_k at (tau_a, eps(b) - slack) with the
+    radicands floored at 0. The slack, 8 n u c (||Gh||_F + tau_b ||Gl||_F)
+    with u = 2.2e-16 and n the size of the pencil solved (n x n or reduced),
+    covers the rounding of the Gramians, the pencil and the eigensolve.
 
     A gap is ruled out only when that bound exceeds the best value so far at
     every k, so ties still go to the first point; eps of a point does not
@@ -474,21 +471,6 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     ``NonFiniteInput``; with no valid cell nothing is ruled out, so
     ``AllCombinationsInvalid`` is raised alike.
     """
-    gh, gl = pair._pencil
-    if grid.size * gh.nbytes <= EPS_CHUNK_BYTES:
-        term1, term2 = _rho_terms(grid, epsilon_estimated(pair, grid), sigma,
-                                  cl_norm, id_residual)
-        cells = term1 + term2
-    else:
-        cells = _pruned_cells(pair, sigma, cl_norm, id_residual, grid)
-    ti, ki = np.unravel_index(_argmin_first(cells), cells.shape)
-    return float(cells[ti, ki]), int(ti), int(ki) + 1
-
-
-def _pruned_cells(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
-                  id_residual: float, grid: np.ndarray) -> np.ndarray:
-    """The (n_tau, rank) rho grid of :func:`_best_rho`'s pruned search, NaN
-    at every cell not evaluated or invalid."""
     gh, gl = pair._pencil
     unit = 8.0 * gh.shape[0] * np.finfo(np.float64).eps * pair.c
     with np.errstate(over="ignore"):
@@ -513,7 +495,8 @@ def _pruned_cells(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
         a, b = a[open_], b[open_]
         todo = (a + b) // 2
         a, b = np.concatenate((a, todo)), np.concatenate((todo, b))
-    return cells
+    ti, ki = np.unravel_index(_argmin_first(cells), cells.shape)
+    return float(cells[ti, ki]), int(ti), int(ki) + 1
 
 
 def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
@@ -565,11 +548,14 @@ def _lifting_error(high: np.ndarray, skeleton: np.ndarray,
     max(m, N // m): no block holds more than G or one row of R, and there are
     at most about sqrt(N) of them. For m > N the same runs on R^T, so G is
     always the smaller Gram. Each block is scaled by 2^-e with max|H| < 2^e,
-    which is exact and keeps the squares from overflowing or underflowing.
-    The result is sigma_1(R) to a relative error of a few (m + sqrt(N)) u
-    (u = 2^-53): about m u from the eigensolve, whose error is a few m u ||G||,
-    and sqrt(N) u from the length-N sums that form G. An exactly zero R gives
-    0.0.
+    which is exact; relative to max|H|, no square overflows, and none of a
+    residual near max|H| underflows. The result is sigma_1(R) to a relative
+    error of a few (m + sqrt(N)) u (u = 2^-53): about m u from the
+    eigensolve, whose error is a few m u ||G||, and sqrt(N) u from the
+    length-N sums that form G. Squares below the smallest double are lost,
+    which adds an absolute error of at most sqrt(m N) 2^-536 max|H|: an R
+    with every entry under about 1e-162 max|H| gives 0.0, as an exactly zero
+    R does.
     """
     if high.shape[0] > high.shape[1]:
         # R^T = H^T - C^T H_S^T: the row blocks of R are column blocks of R^T

@@ -104,7 +104,10 @@ def _assemble(low: np.ndarray, perm: np.ndarray, r_factor: np.ndarray, rank: int
         # all columns selected: coeffs is an exact permuted identity
         residual = 0.0
     else:
-        residual = spectral_norm(low - skeleton @ coeffs)
+        # low - skeleton @ coeffs in the buffer of the product: one
+        # temporary of the size of low, whatever its layout
+        product = skeleton @ coeffs
+        residual = spectral_norm(np.subtract(low, product, out=product))
     return selected, skeleton, coeffs, residual
 
 

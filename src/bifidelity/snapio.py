@@ -227,8 +227,8 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
         raise DimensionMismatch(
             f"{path}: sidecar lists {len(ids)} ids for {n_samples} columns"
         )
-    # read-only over the file's bytes: the matrix keeps it without a copy
-    return SnapshotMatrix(data=data, sample_ids=tuple(ids))
+    # read-only over the file's immutable bytes: kept without a copy
+    return SnapshotMatrix._adopt(data, tuple(ids))
 
 
 def _read_csv(text: str, path) -> SnapshotMatrix:

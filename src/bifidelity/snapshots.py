@@ -20,9 +20,8 @@ __all__ = ["SnapshotMatrix", "aligned_sample_ids"]
 class SnapshotMatrix:
     """A dim x n_samples matrix of QoI vectors plus per-column sample ids.
 
-    ``data`` is read-only and held by no one who can write it: an array is
-    copied (in C order) unless it is read-only over an immutable ``bytes``
-    object, as a BFSM read is, which is kept as it is.
+    ``data`` is read-only and held by no one who can write it: the
+    constructor copies every array it is given (in C order).
     """
 
     data: np.ndarray
@@ -51,7 +50,7 @@ class SnapshotMatrix:
             )
         if len(set(ids)) != len(ids):
             raise DimensionMismatch("sample ids must be distinct")
-        if not (adopt or _immutable(d)):
+        if not adopt:
             d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
@@ -80,16 +79,6 @@ class SnapshotMatrix:
         # a list index gathers into a new array
         return SnapshotMatrix._adopt(self.data[:, idx],
                                      tuple(self.sample_ids[j] for j in idx))
-
-
-def _immutable(a: np.ndarray) -> bool:
-    """Whether no one can write ``a``: it is read-only and its chain of bases
-    ends in a ``bytes`` object."""
-    if a.flags.writeable:
-        return False
-    while isinstance(a, np.ndarray):
-        a = a.base
-    return type(a) is bytes
 
 
 def aligned_sample_ids(high: SnapshotMatrix, low: SnapshotMatrix) -> None:

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -606,6 +605,32 @@ def test_lifting_error_of_a_lift_matches_the_svd_of_its_residual(seed, m, n):
     assert_within_the_stated_error(got, high - high[:, cols] @ coeffs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 40),
+       below=st.floats(100.0, 300.0), big=st.sampled_from([1.0, 1e200]))
+@example(seed=0, m=8, n=20, below=170.0, big=1.0)  # every square underflows
+def test_lifting_error_far_below_max_h_has_the_stated_absolute_error(
+        seed, m, n, below, big):
+    """The scale is taken from max|H|: squares of a residual far below it
+    are lost, within an absolute sqrt(m N) 2^-536 max|H|."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((m, n)) * (big * 10.0**-below)
+    # a selected column of H at the scale of max|H|, reproduced exactly
+    high = np.column_stack([np.full(m, big), r])
+    coeffs = np.zeros((1, n + 1))
+    coeffs[0, 0] = 1.0
+    got = _lifting_error(high, high[:, :1], coeffs)
+    ref = float(np.linalg.svd(r, compute_uv=False)[0])
+    lo, hi = sorted((m, n + 1))
+    assert abs(got - ref) <= (4.0 * (lo + np.sqrt(hi)) * U * ref
+                              + np.sqrt(m * (n + 1)) * 2.0**-536 * big), (got, ref)
+    if np.max(np.abs(r)) < 1e-162 * big:
+        assert got == 0.0
+    # either way the degenerate rule decides as the SVD would
+    h_norm = float(np.linalg.svd(high, compute_uv=False)[0])
+    assert (got <= DEGENERATE_ERROR_RTOL * h_norm) == (ref <= DEGENERATE_ERROR_RTOL * h_norm)
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (3, 10), (10, 3), (40, 101)])
 def test_lifting_error_of_an_exactly_zero_residual_is_zero(m, n):
     high = np.random.default_rng(m).standard_normal((m, n))
@@ -749,38 +774,6 @@ def test_best_rho_evaluates_a_fraction_of_the_default_grid(monkeypatch):
     assert np.median(counts) <= 50, counts
 
 
-def pair_past_one_chunk(grid):
-    """An identity pair whose pencils over ``grid`` overflow one eps chunk,
-    so that :func:`_best_rho` takes the pruned search."""
-    n = math.isqrt(EPS_CHUNK_BYTES // (8 * grid.size)) + 1
-    return GramianPair.from_columns(np.eye(n), np.eye(n), n_total=n)
-
-
-@pytest.mark.parametrize("n_sub", [12, 13])
-def test_best_rho_sweeps_a_grid_in_one_call_when_its_pencils_fit_one_chunk(
-        monkeypatch, n_sub):
-    """202 pencils of 12 x 12 take 233 KB of the 256 KB chunk, of 13 x 13
-    273 KB: the first grid is swept whole, the second pruned."""
-    cfg = DiffusionConfig()
-    high, low = diffusion_pair(draw_diffusion_samples(200, seed=5, cfg=cfg), cfg)
-    dec = build_id(low, rank=10)
-    sigma = singular_values(low.data)
-    grid = default_tau_grid()
-    calls = []
-    real = bound.epsilon_estimated
-    monkeypatch.setattr(bound, "epsilon_estimated",
-                        lambda pair, tau: calls.append(np.size(tau)) or real(pair, tau))
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        idx = np.sort(rng.choice(200, size=n_sub, replace=False))
-        pair = GramianPair.from_snapshots(high, low, idx)
-        calls.clear()
-        assert_best_rho_is_the_sweep_minimum(pair, sigma, dec.coeff_norm(),
-                                             dec.residual_norm, grid)
-        searched = calls[1:]  # the first call is the full sweep's
-        assert (searched == [grid.size]) == (n_sub == 12), searched
-
-
 def eps_table(monkeypatch, grid, values):
     """Route eps through a table of the grid's values, as chunked calls do."""
     table = dict(zip(grid.tolist(), values))
@@ -798,7 +791,7 @@ def test_best_rho_leaves_a_tie_with_the_bound_open(monkeypatch):
     grid = np.linspace(0.0, 1.0, 3 * PRUNE_STRIDE)
     first_zero = PRUNE_STRIDE + 3
     eps_table(monkeypatch, grid, [1.0] * first_zero + [0.0] * (grid.size - first_zero))
-    pair = pair_past_one_chunk(grid)
+    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
     sigma = SingularSpectrum(np.array([1.0]))
     assert minimize_bound(pair, sigma, 0.0, 0.0, grid).best_tau == grid[first_zero]
     assert _best_rho(pair, sigma, 0.0, 0.0, grid) == (0.0, first_zero, 1)
@@ -813,7 +806,7 @@ def test_best_rho_slack_covers_a_rounding_dip(monkeypatch):
     values[PRUNE_STRIDE] = 1.0
     values[PRUNE_STRIDE + 5] = 1.0 - 2.0**-52
     eps_table(monkeypatch, grid, values)
-    pair = pair_past_one_chunk(grid)
+    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
     sigma = SingularSpectrum(np.array([1.0]))
     assert minimize_bound(pair, sigma, 0.0, 0.0, grid).best_tau == grid[PRUNE_STRIDE + 5]
     assert _best_rho(pair, sigma, 0.0, 0.0, grid) == (
