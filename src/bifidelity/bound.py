@@ -45,8 +45,8 @@ from .errors import (
 from .interp import build_id
 from .linalg import (
     SingularSpectrum,
-    _all_finite,
     _as_matrix,
+    _gram_norm,
     _symmetric_part,
     singular_values,
     spectral_norm,
@@ -543,41 +543,24 @@ def _lifting_error(high: np.ndarray, skeleton: np.ndarray,
                    coeffs: np.ndarray) -> float:
     """||H - H_S C||_2 from the Gram side, without forming the residual.
 
-    With R = H - H_S C (m x N) and m <= N, the result is sqrt(lambda_max(G))
-    for G = sum_j R_j R_j^T over column blocks R_j = H_j - H_S C_j of width
-    max(m, N // m): no block holds more than G or one row of R, and there are
-    at most about sqrt(N) of them. For m > N the same runs on R^T, so G is
-    always the smaller Gram. Each block is scaled by 2^-e with max|H| < 2^e,
-    which is exact; relative to max|H|, no square overflows, and none of a
-    residual near max|H| underflows. The result is sigma_1(R) to a relative
-    error of a few (m + sqrt(N)) u (u = 2^-53): about m u from the
-    eigensolve, whose error is a few m u ||G||, and sqrt(N) u from the
-    length-N sums that form G. Squares below the smallest double are lost,
-    which adds an absolute error of at most sqrt(m N) 2^-536 max|H|: an R
-    with every entry under about 1e-162 max|H| gives 0.0, as an exactly zero
-    R does.
+    :func:`_gram_norm` of R = H - H_S C, or of R^T when R is tall, so that
+    its Gram is the smaller one; each block R_j = H_j - H_S C_j is formed on
+    its own, and the scale is taken from max|H|. The result is sigma_1(R)
+    to a relative error of a few (m + sqrt(N)) u, plus an absolute error of
+    at most sqrt(m N) 2^-536 max|H| from squares that underflow: an R with
+    every entry under about 1e-162 max|H| gives 0.0, as an exactly zero R
+    does.
     """
     if high.shape[0] > high.shape[1]:
         # R^T = H^T - C^T H_S^T: the row blocks of R are column blocks of R^T
         high, skeleton, coeffs = high.T, coeffs.T, skeleton.T
-    m, n = high.shape
+
+    def block(cols):
+        b = skeleton @ coeffs[:, cols]
+        return np.subtract(high[:, cols], b, out=b)
+
     _, e = np.frexp(max(high.max(), -high.min()))
-    width = max(m, n // m)
-    gram = np.zeros((m, m))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for start in range(0, n, width):
-            cols = slice(start, start + width)
-            block = skeleton @ coeffs[:, cols]
-            np.subtract(high[:, cols], block, out=block)
-            np.ldexp(block, -e, out=block)
-            gram += block @ block.T
-    if not _all_finite(gram):
-        raise NonFiniteInput("the lifting error H - H_hat overflows")
-    try:
-        lam = float(np.linalg.eigvalsh(gram)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
-    return float(np.ldexp(np.sqrt(lam), e)) if lam > 0.0 else 0.0
+    return _gram_norm(block, *high.shape, e, "the lifting error H - H_hat")
 
 
 def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,

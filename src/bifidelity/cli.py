@@ -201,11 +201,12 @@ def _cmd_generate(args) -> int:
 def _cmd_decompose(args) -> int:
     low = read_snapshots(args.low)
     decomposition = build_id(low, rank=args.rank, tol=args.tol)
-    write_id(decomposition, args.out_id, sample_ids=low.sample_ids)
+    ids = low.sample_ids
+    del low  # the ensemble is freed before the JSON write, which peaks
+    write_id(decomposition, args.out_id, sample_ids=ids)
     print(f"rank: {decomposition.rank}")
     print(f"selected columns: {list(decomposition.selected)}")
-    print(f"required sample ids: "
-          f"{list(required_samples(decomposition, low.sample_ids))}")
+    print(f"required sample ids: {list(required_samples(decomposition, ids))}")
     print(f"residual norm: {decomposition.residual_norm!r}")
     print(f"coefficient norm: {decomposition.coeff_norm()!r}")
     print(args.out_id)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bifidelity.linalg as linalg
 from bifidelity.errors import (
     NoConvergence,
     NonFiniteInput,
@@ -11,6 +14,7 @@ from bifidelity.errors import (
 )
 from bifidelity.linalg import (
     SingularSpectrum,
+    _within_tol,
     _symmetric_part,
     lambda_max_symmetric,
     pivoted_qr,
@@ -20,7 +24,15 @@ from bifidelity.linalg import (
     svd,
 )
 
-from oracles import jacobi_eigvalsh, jacobi_svd_values, rank_by_svd
+from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
+
+from oracles import (
+    jacobi_eigvalsh,
+    jacobi_svd_values,
+    qr_rank_by_norm,
+    random_matrix_with_spectrum,
+    rank_by_svd,
+)
 
 
 # --------------------------------------------------------------------------
@@ -98,6 +110,102 @@ def test_pivoted_qr_deterministic():
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
     assert np.array_equal(first[2], second[2])
+
+
+# --------------------------------------------------------------------------
+# the tolerance decision: column norms, then the Gram side, then the SVD
+# --------------------------------------------------------------------------
+
+U = 2.0**-53
+
+
+def in_band(g, tol, m, n):
+    """Whether the Gram-side norm g of an m x n block (m <= n) is within the
+    band 16 (m + sqrt(n)) u tol around tol, where only the SVD decides."""
+    return abs(g - tol) <= 16.0 * (m + np.sqrt(n)) * U * tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 60), cols=st.integers(1, 60),
+       d=st.sampled_from([sign * d for sign in (1.0, -1.0)
+                          for d in (1e-15, 1e-13, 1e-11, 1e-9)]),
+       exponent=st.floats(-150.0, 150.0), top=st.integers(1, 3))
+def test_within_tol_decides_as_the_svd(seed, rows, cols, d, exponent, top):
+    """Tall and wide blocks with sigma_1 = tol (1 + d), at magnitudes from
+    1e-150 to 1e150: the decision is that of the SVD of the block. The
+    leading `top` singular values are equal and the rest spread below, so
+    the column norms leave most of these blocks open."""
+    rng = np.random.default_rng(seed)
+    tol = 10.0**exponent
+    sigmas = np.sort(rng.uniform(0.0, 1.0, min(rows, cols)))[::-1]
+    sigmas[:top] = 1.0
+    block = random_matrix_with_spectrum(rng, rows, cols, tol * (1.0 + d) * sigmas)
+    norms = np.linalg.norm(block, axis=0)
+    svd_norm = np.linalg.norm(block, 2)
+    assert _within_tol(block, norms, tol) == (svd_norm <= tol)
+    # a tol at the SVD's own sigma_1, or one ulp below it, is decided as the SVD
+    assert _within_tol(block, norms, svd_norm)
+    assert not _within_tol(block, norms, np.nextafter(svd_norm, 0.0))
+
+
+def test_within_tol_decides_as_the_svd_where_the_frobenius_norm_overflows():
+    """Column norms near 1e153 over 2000 columns: the Frobenius bound is
+    infinite and decides nothing, and the scaled Gram does not overflow
+    (each unscaled row square sum is about 5e308)."""
+    rng = np.random.default_rng(0)
+    block = rng.choice([-1.0, 1.0], (4, 2000)) * rng.uniform(0.9, 1.0, (4, 2000))
+    block *= 1e153 / np.linalg.norm(block, axis=0).max()
+    norms = np.linalg.norm(block, axis=0)
+    svd_norm = np.linalg.norm(block, 2)
+    for tol in (svd_norm * (1.0 - 1e-9), np.nextafter(svd_norm, 0.0), svd_norm,
+                svd_norm * (1.0 + 1e-9)):
+        assert _within_tol(block, norms, tol) == (svd_norm <= tol)
+    assert pivoted_qr(block, tol=svd_norm)[3] == 0
+
+
+def test_within_tol_runs_the_svd_only_inside_the_band(monkeypatch):
+    """pivoted_qr on a 64 x 600 diffusion ensemble at tol = 1e-11 sigma_1:
+    the Gram side settles the steps the column norms leave open, and the SVD
+    of the trailing block runs only where the Gram-side norm is in the band."""
+    cfg = DiffusionConfig(mesh_low=64, mesh_high=64)
+    _, low = diffusion_pair(draw_diffusion_samples(600, seed=1, cfg=cfg), cfg)
+    tol = 1e-11 * spectral_norm(low.data)
+    gram_in_band, svd_shapes = [], []
+    gram_norm, norm = linalg._gram_norm, np.linalg.norm
+
+    def recording_gram_norm(block, m, n, e, name):
+        g = gram_norm(block, m, n, e, name)
+        gram_in_band.append(in_band(g, tol, m, n))
+        return g
+
+    def recording_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            svd_shapes.append(x.shape)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_gram_norm", recording_gram_norm)
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    rank = pivoted_qr(low.data, tol=tol)[3]
+    monkeypatch.undo()
+    assert rank == qr_rank_by_norm(low.data, tol)
+    assert gram_in_band  # the column norms left steps open
+    assert len(svd_shapes) == sum(gram_in_band)
+
+
+def test_within_tol_accumulates_the_gram_in_blocks():
+    """A 256 x 2000 block that its column norms leave open is settled
+    holding a few 256 x 256 arrays, never a copy of the block."""
+    block = np.random.default_rng(5).standard_normal((256, 2000))
+    norms = np.linalg.norm(block, axis=0)
+    tol = np.linalg.norm(block, 2) / 1.01
+    assert norms.max() < tol < np.linalg.norm(norms)
+    tracemalloc.start()
+    try:
+        assert not _within_tol(block, norms, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * block.nbytes, peak
 
 
 # --------------------------------------------------------------------------

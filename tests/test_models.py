@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifidelity.errors import DimensionMismatch, OutOfBounds, SolverFailure
+from bifidelity.errors import DataError, DimensionMismatch, OutOfBounds, SolverFailure
 from bifidelity.interp import build_id
 from bifidelity.models import (
+    COEFFICIENT_SPAN_LIMIT,
     SOLVE_BLOCK,
     BeamConfig,
     DiffusionConfig,
@@ -19,6 +20,7 @@ from bifidelity.models import (
     diffusion_pair,
     draw_beam_samples,
     draw_diffusion_samples,
+    _solve_flux,
 )
 
 from oracles import diffusion_flux_banded, section_inertia_quadrature
@@ -222,28 +224,69 @@ def test_diffusion_nan_input_is_a_solver_failure():
         diffusion_pair([nan], cfg)
 
 
+# The three fields below lie past COEFFICIENT_SPAN_LIMIT, which DiffusionConfig
+# rejects; the solve's own guards are reached through the solve itself.
+AMPS = 0.5 ** np.arange(5)  # the default decay over five modes
+
+
+def _mesh_flux(weights, n_nodes):
+    """diffusion_pair's solve on one mesh for rows of mode weights c_i mu_i."""
+    modes = np.arange(1, weights.shape[1] + 1)
+    x = np.linspace(0.0, 1.0, n_nodes)
+    return _solve_flux(weights, x, np.sin(np.pi * np.outer(0.5 * (x[:-1] + x[1:]), modes)),
+                       np.sin(np.pi * np.outer(x, modes)))
+
+
 def test_diffusion_overflowing_coefficient_is_a_solver_failure():
-    cfg = DiffusionConfig(field_amplitude=800.0)
-    big = ParameterSample(id="big", mu=np.ones(cfg.d_params))
     with np.errstate(over="ignore"), pytest.raises(SolverFailure,
                                                    match="matrix holds infs or NaNs"):
-        diffusion_pair([big], cfg)
+        _mesh_flux(800.0 * AMPS[None, :], 256)
 
 
 def test_diffusion_underflowing_coefficient_is_a_solver_failure():
-    cfg = DiffusionConfig(field_amplitude=800.0)
-    tiny = ParameterSample(id="tiny", mu=-np.ones(cfg.d_params))
     with pytest.raises(SolverFailure, match="diffusion coefficient must be positive"):
-        diffusion_pair([tiny], cfg)
+        _mesh_flux(-800.0 * AMPS[None, :], 256)
 
 
 def test_diffusion_pivot_lost_to_rounding_is_a_solver_failure():
     """A coefficient spanning far more than 1e16 leaves the pivot of a
     coarse-mesh row at zero; that is a failure, not a NaN flux."""
-    cfg = DiffusionConfig(mesh_low=4, mesh_high=8, field_amplitude=80.0)
-    samples = draw_diffusion_samples(40, seed=2, cfg=cfg)
+    samples = draw_diffusion_samples(40, seed=2, cfg=DiffusionConfig())
+    weights = np.array([80.0 * AMPS * s.mu for s in samples])
     with pytest.raises(SolverFailure, match="pivot is not positive"):
-        diffusion_pair(samples, cfg)
+        for n_nodes in (8, 4):
+            _mesh_flux(weights, n_nodes)
+
+
+def test_diffusion_config_at_the_span_limit_is_accepted_and_past_it_rejected():
+    """exp(2 sum_i c_i) = exp(2 a 1.9375) meets the limit at a = 10.696."""
+    at_limit = np.log(COEFFICIENT_SPAN_LIMIT) / (2.0 * AMPS.sum())
+    cfg = DiffusionConfig(mesh_low=8, mesh_high=64, field_amplitude=at_limit * (1 - 1e-9))
+    samples = draw_diffusion_samples(SOLVE_BLOCK + 1, seed=3, cfg=cfg)
+    for snapshot, n_nodes in zip(diffusion_pair(samples, cfg), (64, 8)):
+        expected = np.column_stack([diffusion_flux_banded(s.mu, n_nodes, cfg)
+                                    for s in samples])
+        assert snapshot.data.tobytes() == expected.tobytes()
+    for amplitude in (at_limit * (1 + 1e-9), 800.0, np.inf, np.nan):
+        with pytest.raises(OutOfBounds, match="above the limit 1e"):
+            DiffusionConfig(field_amplitude=amplitude)
+    with pytest.raises(OutOfBounds):  # eight modes without decay: 2 * 8 * 2.6 > 41.4
+        DiffusionConfig(d_params=8, field_amplitude=2.6, field_decay=1.0)
+    assert issubclass(OutOfBounds, DataError)  # exit code 2 at the command line
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitude=st.floats(0.0, 60.0), decay=st.floats(0.01, 1.0),
+       d_params=st.integers(1, 12))
+def test_diffusion_config_span_limit_is_the_bound_of_the_config(amplitude, decay,
+                                                                 d_params):
+    bound = 2.0 * amplitude * sum(decay**i for i in range(d_params))
+    if bound <= np.log(COEFFICIENT_SPAN_LIMIT):
+        DiffusionConfig(d_params=d_params, field_amplitude=amplitude, field_decay=decay)
+    else:
+        with pytest.raises(OutOfBounds):
+            DiffusionConfig(d_params=d_params, field_amplitude=amplitude,
+                            field_decay=decay)
 
 
 def test_diffusion_pair_memory_on_the_bench_study():
