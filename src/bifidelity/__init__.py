@@ -19,23 +19,14 @@ from .bound import (
     epsilon_exact,
     minimize_bound,
     minimize_bound_two_tau,
-    refine_tau_grid,
     rho,
     tau_grid,
     write_bound_report,
 )
-from .interp import InterpDecomposition, build_id, reconstruct
-from .lifting import (
-    BiFidelityModel,
-    evaluate_all,
-    evaluate_one,
-    fit_coefficients,
-    lift,
-    required_samples,
-)
+from .interp import InterpDecomposition, build_id
+from .lifting import BiFidelityModel, evaluate_all, lift, required_samples
 from .linalg import (
     SingularSpectrum,
-    lambda_max_symmetric,
     pivoted_qr,
     pseudo_inverse,
     singular_values,
@@ -60,16 +51,11 @@ __all__ = [
     "epsilon_estimated",
     "epsilon_exact",
     "evaluate_all",
-    "evaluate_one",
-    "fit_coefficients",
-    "lambda_max_symmetric",
     "lift",
     "minimize_bound",
     "minimize_bound_two_tau",
     "pivoted_qr",
     "pseudo_inverse",
-    "reconstruct",
-    "refine_tau_grid",
     "required_samples",
     "rho",
     "singular_values",

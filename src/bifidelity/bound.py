@@ -47,7 +47,6 @@ from .linalg import (
     SingularSpectrum,
     _as_matrix,
     _gram_norm,
-    _symmetric_part,
     singular_values,
     spectral_norm,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "EfficacyResult",
     "default_tau_grid",
     "tau_grid",
-    "refine_tau_grid",
     "epsilon_exact",
     "epsilon_estimated",
     "rho",
@@ -119,23 +117,6 @@ def tau_grid(tau_min: float, tau_max: float, count: int, scale: str = "log") -> 
     raise DimensionMismatch(f"unknown grid scale {scale!r}")
 
 
-def refine_tau_grid(grid) -> np.ndarray:
-    """Insert midpoints between consecutive grid points.
-
-    Originals are kept bitwise, so the result is a strict superset and any
-    grid minimum can only decrease. Midpoints are geometric between positive
-    neighbours, arithmetic when one endpoint is zero.
-    """
-    g = _validate_grid(grid)
-    mids = []
-    for a, b in zip(g[:-1], g[1:]):
-        mids.append(np.sqrt(a * b) if a > 0.0 else 0.5 * (a + b))
-    out = np.empty(g.size + len(mids))
-    out[0::2] = g
-    out[1::2] = mids
-    return out
-
-
 def _validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64).ravel()
     if g.size == 0:
@@ -153,31 +134,29 @@ def _validate_grid(grid) -> np.ndarray:
 # Gramians and eps
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GramianPair:
     """Gramians of n sub-sampled high-/low-fidelity columns.
 
-    ``gh`` and ``gl`` are n x n and built from the same column indices of
-    both ensembles; ``n_sub`` = n is their size and ``c = n_total / n_sub``
-    the scaling that compensates for the sub-sampling in eps_hat. Given
-    Gramians G must be symmetric to 1e-10 and positive semi-definite, and
-    the pair keeps (G + G^T)/2, bitwise G when G is exactly symmetric; the
-    A^T A of :meth:`from_columns` are both.
+    A pair is built from the columns only, by :meth:`from_columns`, which
+    :meth:`from_snapshots` and :meth:`full` call. ``gh = Hs^T Hs`` and
+    ``gl = Ls^T Ls`` are n x n, from the same column indices of both
+    ensembles; ``n_sub`` = n is their size and ``c = n_total / n_sub`` the
+    scaling that compensates for the sub-sampling in eps_hat. Both are
+    positive semi-definite by construction, and exactly symmetric: numpy
+    forms A^T A with one triangle mirrored.
 
     eps is read off ``_pencil``, read-only and exactly symmetric:
-    (gh, gl), or, when :meth:`from_columns` gets columns Hs (dim_h x n) and
-    Ls (dim_l x n) with p = dim_h + dim_l < n, the p x p ``core_h = (Hs Q)^T
-    (Hs Q)``, ``core_l = (Ls Q)^T (Ls Q)``, with Q (n x p) the orthonormal
-    factor of the reduced QR of [Hs; Ls]^T.
+    (gh, gl), or, when the columns Hs (dim_h x n) and Ls (dim_l x n) have
+    p = dim_h + dim_l < n, the p x p ``core_h = (Hs Q)^T (Hs Q)``,
+    ``core_l = (Ls Q)^T (Ls Q)``, with Q (n x p) the orthonormal factor of
+    the reduced QR of [Hs; Ls]^T.
     """
 
     gh: np.ndarray
     gl: np.ndarray
     n_total: int
-    _pencil: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._settle(check_gramians=True)
+    _pencil: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n_sub(self) -> int:
@@ -189,62 +168,40 @@ class GramianPair:
         """The sub-sampling scale n_total / n_sub."""
         return self.n_total / self.n_sub
 
-    def _settle(self, check_gramians: bool) -> None:
-        """Check the sizes, with ``check_gramians`` also that gh and gl are
-        symmetric and positive semi-definite, and freeze the pencil."""
-        gh = _as_matrix(self.gh, "gh")
-        gl = _as_matrix(self.gl, "gl")
-        if gh.shape != gl.shape or gh.shape[0] != gh.shape[1]:
-            raise DimensionMismatch("Gramians must be square and equally sized")
-        n_sub = gh.shape[0]
-        # NaN fails the comparison, and a fraction or inf leaves a remainder
-        if not 1 <= n_sub <= self.n_total or self.n_total % 1:
-            raise DimensionMismatch(
-                f"need 1 <= n_sub <= n_total with n_total a whole number, "
-                f"got {n_sub}, {self.n_total}"
-            )
-        if check_gramians:
-            parts = []
-            for name, g in (("gh", gh), ("gl", gl)):
-                scale = float(np.max(np.abs(g))) or 1.0
-                if np.max(np.abs(g - g.T)) > 1e-10 * scale:
-                    raise DimensionMismatch(f"{name} is not symmetric")
-                parts.append(_symmetric_part(g))
-                if float(np.linalg.eigvalsh(parts[-1])[0]) < -1e-10 * scale:
-                    raise DimensionMismatch(f"{name} is not positive semi-definite")
-            gh, gl = parts
-        gh.flags.writeable = False
-        gl.flags.writeable = False
-        object.__setattr__(self, "gh", gh)
-        object.__setattr__(self, "gl", gl)
-        object.__setattr__(self, "_pencil", (gh, gl))
-
     @classmethod
     def from_columns(cls, high_cols, low_cols, n_total: int) -> "GramianPair":
-        """Build from the sub-sampled columns themselves (dims x n each)."""
+        """Build from the sub-sampled columns themselves (dims x n each).
+
+        The columns and their Gramians must be finite, both sets must have
+        n columns, and ``n_total`` must be a whole number of at least n.
+        """
         hc = _as_matrix(high_cols, "high columns")
         lc = _as_matrix(low_cols, "low columns")
         if hc.shape[1] != lc.shape[1]:
             raise SampleMismatch(
                 f"column counts differ: {hc.shape[1]} vs {lc.shape[1]}"
             )
-        # A^T A is positive semi-definite by construction, and numpy forms it
-        # with one triangle mirrored, so the pair skips the symmetry scan and
-        # the two n x n eigensolves that given matrices get
-        pair = object.__new__(cls)
-        for name, value in (("gh", hc.T @ hc), ("gl", lc.T @ lc),
-                            ("n_total", n_total)):
-            object.__setattr__(pair, name, value)
-        pair._settle(check_gramians=False)
+        gh = _as_matrix(hc.T @ hc, "gh")
+        gl = _as_matrix(lc.T @ lc, "gl")
+        # NaN fails the comparison, and a fraction or inf leaves a remainder
+        if not 1 <= hc.shape[1] <= n_total or n_total % 1:
+            raise DimensionMismatch(
+                f"need 1 <= n_sub <= n_total with n_total a whole number, "
+                f"got {hc.shape[1]}, {n_total}"
+            )
+        pencil = (gh, gl)
         if hc.shape[0] + lc.shape[0] < hc.shape[1]:
             # Gh - tau Gl = Q (core_h - tau core_l) Q^T: the Gramians are
             # projected, not rebuilt from R, so H == L still cancels exactly
             q, _ = np.linalg.qr(np.vstack((hc, lc)).T)
             hq, lq = hc @ q, lc @ q
             pencil = (hq.T @ hq, lq.T @ lq)
-            for g in pencil:
-                g.flags.writeable = False
-            object.__setattr__(pair, "_pencil", pencil)
+        for g in (gh, gl, *pencil):
+            g.flags.writeable = False
+        pair = object.__new__(cls)
+        for name, value in (("gh", gh), ("gl", gl), ("n_total", n_total),
+                            ("_pencil", pencil)):
+            object.__setattr__(pair, name, value)
         return pair
 
     @classmethod
@@ -289,8 +246,9 @@ def epsilon_estimated(pair: GramianPair, tau):
     """c * lambda_max(Gh_hat - tau Gl_hat); may be negative.
 
     ``tau`` is a scalar (the result is a float) or a 1-D array (the result is
-    an array, entry by entry equal to the scalar call). The pencils of all
-    tau go to the eigensolver as they are, exactly symmetric, in chunks of at
+    an array, entry by entry equal to the scalar call). A pair is built from
+    columns only, so its pencil is exactly symmetric, and the pencils of all
+    tau go to the eigensolver as they are, unsymmetrised, in chunks of at
     most ``EPS_CHUNK_BYTES``. Each entry of Gh - tau Gl is monotone in tau, so
     one check at the largest tau covers the grid (:class:`NonFiniteInput`).
     With the reduced p x p pencil (see :class:`GramianPair`) the result is

@@ -10,10 +10,13 @@ Subcommands wire the pipeline together:
     efficacy   full pair -> table of bound/true-error ratios
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-All diagnostics go to stderr; results and file paths go to stdout.
+All diagnostics go to stderr; results and file paths go to stdout. A command
+writes its files before its first stdout line, and a reader that closes
+stdout early ends the run quietly with exit 0.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 # command implementations
 # --------------------------------------------------------------------------
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> list[str]:
     prefix = args.out or args.model
     if args.model == "beam":
         cfg = BeamConfig(n_grid=args.grid)
@@ -192,37 +195,33 @@ def _cmd_generate(args) -> int:
     }
     manifest_path = f"{prefix}.manifest.json"
     _atomic_write(manifest_path, _json_bytes(manifest))
-    print(high_path)
-    print(low_path)
-    print(manifest_path)
-    return 0
+    return [high_path, low_path, manifest_path]
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> list[str]:
     low = read_snapshots(args.low)
     decomposition = build_id(low, rank=args.rank, tol=args.tol)
     ids = low.sample_ids
     del low  # the ensemble is freed before the JSON write, which peaks
     write_id(decomposition, args.out_id, sample_ids=ids)
-    print(f"rank: {decomposition.rank}")
-    print(f"selected columns: {list(decomposition.selected)}")
-    print(f"required sample ids: {list(required_samples(decomposition, ids))}")
-    print(f"residual norm: {decomposition.residual_norm!r}")
-    print(f"coefficient norm: {decomposition.coeff_norm()!r}")
-    print(args.out_id)
-    return 0
+    return [
+        f"rank: {decomposition.rank}",
+        f"selected columns: {list(decomposition.selected)}",
+        f"required sample ids: {list(required_samples(decomposition, ids))}",
+        f"residual norm: {decomposition.residual_norm!r}",
+        f"coefficient norm: {decomposition.coeff_norm()!r}",
+        args.out_id,
+    ]
 
 
-def _cmd_samples(args) -> int:
+def _cmd_samples(args) -> list[str]:
     decomposition, ids = read_id(args.id_path)
     if ids is None:
         raise DataError(f"{args.id_path} carries no sample ids")
-    for sid in required_samples(decomposition, ids):
-        print(sid)
-    return 0
+    return list(required_samples(decomposition, ids))
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> list[str]:
     decomposition, ids = read_id(args.id_path)
     skeleton = read_snapshots(args.high_skeleton)
     if ids is not None:
@@ -240,11 +239,10 @@ def _cmd_lift(args) -> int:
     )
     write_snapshots(estimate, args.out, fmt=args.format,
                     provenance={"kind": "bifidelity-estimate"})
-    print(args.out)
-    return 0
+    return [args.out]
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> list[str]:
     grid = _tau_grid_from_args(args)
     low = read_snapshots(args.low)
     high_sub = read_snapshots(args.high_sub)
@@ -268,22 +266,22 @@ def _cmd_bound(args) -> int:
     report = minimize(
         pair, sigma, decomposition.coeff_norm(), decomposition.residual_norm, grid
     )
-    print(f"n_sub: {pair.n_sub} of {pair.n_total}")
-    print(f"rank: {decomposition.rank}")
-    print(f"best_rho: {report.best_rho!r}")
-    print(f"best_tau: {report.best_tau!r}")
+    lines = [
+        f"n_sub: {pair.n_sub} of {pair.n_total}",
+        f"rank: {decomposition.rank}",
+        f"best_rho: {report.best_rho!r}",
+        f"best_tau: {report.best_tau!r}",
+    ]
     if report.best_tau2 is not None:
-        print(f"best_tau2: {report.best_tau2!r}")
-    print(f"best_k: {report.best_k}")
-    print(f"b1: {report.b1!r}")
-    print(f"b2: {report.b2!r}")
+        lines.append(f"best_tau2: {report.best_tau2!r}")
+    lines += [f"best_k: {report.best_k}", f"b1: {report.b1!r}", f"b2: {report.b2!r}"]
     if args.out:
         write_bound_report(report, args.out)
-        print(args.out)
-    return 0
+        lines.append(args.out)
+    return lines
 
 
-def _cmd_efficacy(args) -> int:
+def _cmd_efficacy(args) -> list[str]:
     grid = _tau_grid_from_args(args)
     high = read_snapshots(args.high)
     low = read_snapshots(args.low)
@@ -291,17 +289,15 @@ def _cmd_efficacy(args) -> int:
         high, low, rank=args.rank, n_sub=args.n, trials=args.trials,
         seed=args.seed, grid=grid,
     )
-    for t, ratio in enumerate(result.ratios):
-        print(f"trial {t}: {float(ratio)!r}")
-    print(f"mean: {result.mean!r}")
-    print(f"true_error: {result.true_error!r}")
+    lines = [f"trial {t}: {float(r)!r}" for t, r in enumerate(result.ratios)]
+    lines += [f"mean: {result.mean!r}", f"true_error: {result.true_error!r}"]
     if args.out:
-        lines = ["trial,ratio"]
-        lines.extend(f"{t},{float(r)!r}" for t, r in enumerate(result.ratios))
-        lines.append(f"mean,{result.mean!r}")
-        _atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-        print(args.out)
-    return 0
+        rows = ["trial,ratio"]
+        rows.extend(f"{t},{float(r)!r}" for t, r in enumerate(result.ratios))
+        rows.append(f"mean,{result.mean!r}")
+        _atomic_write(args.out, ("\n".join(rows) + "\n").encode("utf-8"))
+        lines.append(args.out)
+    return lines
 
 
 # --------------------------------------------------------------------------
@@ -320,19 +316,36 @@ def cli_main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    # the command writes its files and returns its stdout lines, so an
+    # OSError here is a file's, and one while printing is stdout's; a path
+    # holding a lone surrogate cannot be encoded
     try:
-        return args.func(args)
-    except (DataError, OSError) as exc:
+        lines = args.func(args)
+    except (DataError, OSError, UnicodeEncodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        for line in lines:
+            print(line)
+        print(end="", flush=True)  # like print, a no-op on a closed stdout
+    except BrokenPipeError:
+        # the reader stopped early, after the run's files were written; the
+        # unflushed rest goes to /dev/null, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except OSError as exc:  # such as a full disk
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     except UnicodeEncodeError as exc:
         # a sample id stdout cannot encode, such as a lone surrogate (BFSM
         # sidecars carry any string)
         print(f"data error: cannot print a sample id: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

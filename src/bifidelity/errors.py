@@ -24,10 +24,6 @@ class NonFiniteInput(DataError):
     """A matrix or vector argument contains NaN or Inf."""
 
 
-class NotSquare(DataError):
-    """A square matrix was required."""
-
-
 class RankExceedsDims(DataError):
     """Requested rank larger than min(rows, cols)."""
 

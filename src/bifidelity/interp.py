@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, ToleranceUnreachable
 from .linalg import _as_matrix, pivoted_qr, pseudo_inverse, spectral_norm
 from .snapshots import SnapshotMatrix
 
-__all__ = ["InterpDecomposition", "build_id", "reconstruct"]
+__all__ = ["InterpDecomposition", "build_id"]
 
 #: Condition estimate of R11 above which the minimum-norm solve is used.
 ILL_CONDITION_LIMIT = 1e8
@@ -152,8 +152,3 @@ def build_id(low, *, rank: int | None = None, tol: float | None = None) -> Inter
         coeffs=coeffs,
         residual_norm=residual,
     )
-
-
-def reconstruct(decomposition: InterpDecomposition) -> np.ndarray:
-    """Low-rank reconstruction skeleton @ coeffs (dim x n_samples)."""
-    return decomposition.skeleton @ decomposition.coeffs

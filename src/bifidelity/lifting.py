@@ -22,8 +22,6 @@ __all__ = [
     "required_samples",
     "lift",
     "evaluate_all",
-    "evaluate_one",
-    "fit_coefficients",
 ]
 
 
@@ -82,12 +80,11 @@ def lift(
     ``high_skeleton`` must have one column per selected index, in the same
     order as ``decomposition.selected``.
     """
-    skel = _as_matrix(high_skeleton, "high_skeleton", allow_no_columns=True)
     if sample_ids is None:
         sample_ids = tuple(f"sel-{j:06d}" for j in decomposition.selected)
     return BiFidelityModel(
         decomposition=decomposition,
-        high_skeleton=skel,
+        high_skeleton=high_skeleton,
         sample_ids=tuple(sample_ids),
     )
 
@@ -105,30 +102,3 @@ def evaluate_all(model: BiFidelityModel) -> np.ndarray:
         raise DimensionMismatch(
             f"cannot allocate an estimate of {rows} x {cols}") from exc
     return np.matmul(model.high_skeleton, model.decomposition.coeffs, out=out)
-
-
-def evaluate_one(model: BiFidelityModel, coefficients) -> np.ndarray:
-    """Bi-fidelity estimate for a single coefficient vector of length r."""
-    c = np.asarray(coefficients, dtype=np.float64)
-    if c.ndim != 1 or c.size != model.rank:
-        raise DimensionMismatch(
-            f"expected {model.rank} coefficients, got shape {c.shape}"
-        )
-    return model.high_skeleton @ c
-
-
-def fit_coefficients(decomposition: InterpDecomposition, v_low) -> np.ndarray:
-    """Coefficients for an out-of-sample low-fidelity vector.
-
-    Least-squares projection onto the low-fidelity skeleton; for an
-    in-sample column this reproduces the stored coefficient column up to
-    roundoff.
-    """
-    v = np.asarray(v_low, dtype=np.float64)
-    if v.ndim != 1 or v.size != decomposition.skeleton.shape[0]:
-        raise DimensionMismatch(
-            f"expected a low-fidelity vector of length "
-            f"{decomposition.skeleton.shape[0]}, got shape {v.shape}"
-        )
-    c, *_ = np.linalg.lstsq(decomposition.skeleton, v, rcond=None)
-    return c

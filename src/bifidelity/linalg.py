@@ -6,9 +6,12 @@ are plain float64 ``numpy`` arrays; validation rejects NaN/Inf up front.
 
 The column-pivoted QR is authored here because its pivot policy (greedy
 max-residual-norm, lowest column index on ties) and its tolerance-mode
-stopping rule are part of the package contract. The symmetric eigensolve,
-SVD and pseudo-inverse delegate to LAPACK via ``numpy.linalg``; independent
-Jacobi implementations live in the test suite as cross-checking oracles.
+stopping rule are part of the package contract. The SVD, the
+pseudo-inverse and the eigensolve of the Gram-side norm delegate to LAPACK
+via ``numpy.linalg``; independent Jacobi implementations live in the test
+suite as cross-checking oracles. That eigensolve takes a Gram the kernel
+summed itself, symmetric by construction, so no kernel here symmetrises a
+given matrix.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteInput,
-    NotSquare,
     RankExceedsDims,
 )
 
@@ -27,7 +29,6 @@ __all__ = [
     "SingularSpectrum",
     "pivoted_qr",
     "svd",
-    "lambda_max_symmetric",
     "spectral_norm",
     "pseudo_inverse",
 ]
@@ -262,37 +263,6 @@ def singular_values(a) -> SingularSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
     return SingularSpectrum(s)
-
-
-def _symmetric_part(s: np.ndarray) -> np.ndarray:
-    """(S + S^T)/2 over the last two axes, computed so that nothing overflows.
-
-    An entry equal to its mirror is kept bit for bit, subnormals included;
-    the others are 0.5 S + 0.5 S^T, bitwise 0.5 (S + S^T) in the normal range.
-    """
-    t = np.swapaxes(s, -1, -2)
-    return np.where(s == t, s, 0.5 * s + 0.5 * t)
-
-
-def lambda_max_symmetric(s):
-    """Largest eigenvalue of a symmetric matrix; may be negative.
-
-    ``s`` is one n x n matrix (the result is a float) or a stack of shape
-    (..., n, n) (the result is an array of shape ``s.shape[:-2]``, entry by
-    entry equal to the one-matrix call). Each matrix is symmetrized as
-    (S + S^T)/2 before solving (see :func:`_symmetric_part`), so mild
-    asymmetry from accumulated roundoff is harmless.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise NotSquare(f"expected a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise NonFiniteInput("matrix contains NaN or Inf entries")
-    try:
-        lam = np.linalg.eigvalsh(_symmetric_part(s))[..., -1]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
-    return float(lam) if s.ndim == 2 else lam
 
 
 def spectral_norm(a) -> float:

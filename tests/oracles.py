@@ -29,7 +29,9 @@ Finally, ``eps_lambda_max_symmetric`` is the former eps kernel, which sent
 each chunk of pencils through ``lambda_max_symmetric`` (a finiteness scan
 and (S + S^T)/2 per chunk); the kernel that solves the pair's pencil
 unchecked must match it bit for bit wherever that pencil is exactly
-symmetric.
+symmetric. ``lambda_max_symmetric`` and ``_symmetric_part`` are the
+package's former functions of those names, kept here as that reference; a
+non-square input raises ``DimensionMismatch``.
 """
 
 import numpy as np
@@ -37,10 +39,10 @@ import scipy.linalg
 
 from bifidelity.bound import (EPS_CHUNK_BYTES, GramianPair, _lifting_error,
                              minimize_bound)
-from bifidelity.errors import KOutOfRange, ToleranceUnreachable
+from bifidelity.errors import (DimensionMismatch, KOutOfRange, NoConvergence,
+                              NonFiniteInput, ToleranceUnreachable)
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
-from bifidelity.linalg import (lambda_max_symmetric, pivoted_qr, pseudo_inverse,
-                               singular_values, svd)
+from bifidelity.linalg import pivoted_qr, pseudo_inverse, singular_values, svd
 from bifidelity.snapshots import aligned_sample_ids
 
 
@@ -307,3 +309,34 @@ def eps_lambda_max_symmetric(gh, gl, c, n_sub, tau):
     if gh.shape[0] < n_sub:
         lam = np.maximum(lam, 0.0)
     return c * lam
+
+
+def _symmetric_part(s: np.ndarray) -> np.ndarray:
+    """(S + S^T)/2 over the last two axes, computed so that nothing overflows.
+
+    An entry equal to its mirror is kept bit for bit, subnormals included;
+    the others are 0.5 S + 0.5 S^T, bitwise 0.5 (S + S^T) in the normal range.
+    """
+    t = np.swapaxes(s, -1, -2)
+    return np.where(s == t, s, 0.5 * s + 0.5 * t)
+
+
+def lambda_max_symmetric(s):
+    """Largest eigenvalue of a symmetric matrix; may be negative.
+
+    ``s`` is one n x n matrix (the result is a float) or a stack of shape
+    (..., n, n) (the result is an array of shape ``s.shape[:-2]``, entry by
+    entry equal to the one-matrix call). Each matrix is symmetrized as
+    (S + S^T)/2 before solving (see :func:`_symmetric_part`), so mild
+    asymmetry from accumulated roundoff is harmless.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteInput("matrix contains NaN or Inf entries")
+    try:
+        lam = np.linalg.eigvalsh(_symmetric_part(s))[..., -1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
+    return float(lam) if s.ndim == 2 else lam

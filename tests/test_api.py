@@ -1,4 +1,5 @@
-"""The public surface's settable values, counted.
+"""The public surface: its settable values, counted, and the README's
+library quick start, run.
 
 Every parameter of a public callable is a value a caller can set, and each
 one must be tested and documented. The count below makes a new keyword, a
@@ -8,12 +9,15 @@ this file; removing one lowers the expected total.
 
 import importlib
 import inspect
+from pathlib import Path
+
+from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 
 MODULES = ["bifidelity", "bifidelity.bound", "bifidelity.linalg", "bifidelity.snapio",
            "bifidelity.snapshots", "bifidelity.interp", "bifidelity.lifting",
            "bifidelity.models"]
 
-PUBLIC_PARAMETERS = 149
+PUBLIC_PARAMETERS = 139
 
 
 def _parameter_names(name, obj):
@@ -49,3 +53,23 @@ def test_public_parameter_count_is_pinned():
     assert len(params) == len(set(params))
     assert len(params) == PUBLIC_PARAMETERS, params
 
+
+
+def readme_python_block(heading):
+    """The first python block of the README section under ``heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    high, low = diffusion_pair(draw_diffusion_samples(200, seed=1),
+                               DiffusionConfig(mesh_high=64))
+    namespace = {"low_data": low.data, "high_data": high.data}
+    exec(compile(readme_python_block("Library quick start"), "README.md", "exec"),
+         namespace)
+    report = namespace["report"]
+    assert len(namespace["need"]) == 10
+    assert namespace["estimate"].shape == high.data.shape
+    assert capsys.readouterr().out == \
+        f"{report.best_rho} {report.best_tau} {report.best_k}\n"

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import bifidelity
 from bifidelity.cli import _tau_grid_from_args, build_parser, cli_main
 from bifidelity.errors import DataError
-from bifidelity.snapio import read_id, read_snapshots, write_snapshots
+from bifidelity.interp import build_id
+from bifidelity.snapio import read_id, read_snapshots, write_id, write_snapshots
 from bifidelity.lifting import required_samples
 from bifidelity.linalg import spectral_norm
 from bifidelity.snapshots import SnapshotMatrix
@@ -414,6 +415,74 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+# --------------------------------------------------------------------------
+# a reader that stops early
+# --------------------------------------------------------------------------
+
+def _run_on_a_pipe(argv, lines_read):
+    """Run the CLI with stdout on a pipe whose reader takes ``lines_read``
+    lines and closes it; returns (exit code, lines read, stderr bytes)."""
+    proc = subprocess.Popen([sys.executable, "-m", "bifidelity.cli", *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    got = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), got, err
+
+
+def test_samples_into_a_pipe_closed_after_one_line_exits_zero(tmp_path):
+    """100 ids of 1000 characters: more than the pipe holds, so the command
+    is still writing when the reader closes."""
+    low = np.random.default_rng(5).standard_normal((100, 120))
+    ids = [f"{j:04d}" + "x" * 996 for j in range(120)]
+    decomposition = build_id(low, rank=100)
+    write_id(decomposition, tmp_path / "id.json", sample_ids=ids)
+    rc, got, err = _run_on_a_pipe(["samples", "--id", tmp_path / "id.json"], 1)
+    assert (rc, err) == (0, b"")
+    assert got == [f"{ids[decomposition.selected[0]]}\n".encode()]
+
+
+def test_efficacy_into_a_pipe_closed_after_one_line_writes_its_out_file(tmp_path, capsys):
+    """3000 trial lines overfill the pipe; the ratio file is written before
+    the first of them, so it is whole although the reader stopped early."""
+    rng = np.random.default_rng(6)
+    ids = tuple(f"s{j}" for j in range(8))
+    write_snapshots(SnapshotMatrix(rng.standard_normal((3, 8)), ids), tmp_path / "h.bfsm")
+    write_snapshots(SnapshotMatrix(rng.standard_normal((3, 8)), ids), tmp_path / "l.bfsm")
+    argv = ["efficacy", "--high", tmp_path / "h.bfsm", "--low", tmp_path / "l.bfsm",
+            "--rank", "1", "--n", "2", "--trials", "3000", "--tau-min", "0",
+            "--tau-max", "0", "--tau-count", "1", "--tau-scale", "linear", "--out"]
+    assert cli_main([str(a) for a in argv + [tmp_path / "full.csv"]]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    rc, got, err = _run_on_a_pipe(argv + [tmp_path / "piped.csv"], 1)
+    assert (rc, err) == (0, b"")
+    assert got == [f"{first}\n".encode()]
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+def test_bound_into_a_closed_pipe_writes_its_report(diffusion_files, tmp_path, capsys):
+    """The reader closes before the command writes anything. A report that
+    cannot be written is still a data error, before any stdout line."""
+    argv = _command("bound", diffusion_files) + ["--out"]
+    assert cli_main(argv + [str(tmp_path / "full.csv")]) == 0
+    capsys.readouterr()
+    rc, got, err = _run_on_a_pipe(argv + [tmp_path / "piped.csv"], 0)
+    assert (rc, err) == (0, b"")
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    _assert_data_error(capsys, argv + [str(tmp_path / "missing" / "report.csv")])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_that_cannot_be_written_exits_two(id_file):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "bifidelity.cli", "samples",
+                               "--id", str(id_file)], stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "data error: [Errno 28] No space left on device"]
 
 
 def test_rank_zero_pipeline(tmp_path, capsys):

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from bifidelity.errors import DimensionMismatch
-from bifidelity.interp import build_id, reconstruct
-from bifidelity.lifting import (
-    evaluate_all,
-    evaluate_one,
-    fit_coefficients,
-    lift,
-    required_samples,
-)
+from bifidelity.interp import build_id
+from bifidelity.lifting import evaluate_all, lift, required_samples
 from bifidelity.linalg import spectral_norm
 
 from oracles import mgs_pivot_order
@@ -52,7 +46,7 @@ def test_lift_with_low_skeleton_reproduces_reconstruction():
     _, low = make_pair(seed=7)
     dec = build_id(low, rank=3)
     model = lift(dec, dec.skeleton)
-    assert np.array_equal(evaluate_all(model), reconstruct(dec))
+    assert np.array_equal(evaluate_all(model), dec.skeleton @ dec.coeffs)
 
 
 def test_full_rank_lift_reproduces_high_exactly():
@@ -83,57 +77,8 @@ def test_corresponding_estimates_identity():
     dec = build_id(low, rank=3)
     model = lift(dec, low[:, list(dec.selected)])
     err_high = spectral_norm(low - evaluate_all(model))
-    err_low = spectral_norm(low - reconstruct(dec))
+    err_low = spectral_norm(low - dec.skeleton @ dec.coeffs)
     assert err_high == err_low
-
-
-def test_evaluate_one_unit_vector_picks_column():
-    high, low = make_pair(seed=23)
-    dec = build_id(low, rank=4)
-    model = lift(dec, high[:, list(dec.selected)])
-    e2 = np.zeros(4)
-    e2[2] = 1.0
-    assert np.array_equal(evaluate_one(model, e2), model.high_skeleton[:, 2])
-
-
-def test_evaluate_one_matches_evaluate_all_columns():
-    high, low = make_pair(seed=29)
-    dec = build_id(low, rank=4)
-    model = lift(dec, high[:, list(dec.selected)])
-    full = evaluate_all(model)
-    for k in (0, 5, 11):
-        single = evaluate_one(model, dec.coeffs[:, k])
-        assert np.max(np.abs(single - full[:, k])) <= 1e-12 * max(
-            1.0, np.max(np.abs(full))
-        )
-
-
-def test_evaluate_one_rejects_wrong_length():
-    high, low = make_pair(seed=37)
-    dec = build_id(low, rank=3)
-    model = lift(dec, high[:, list(dec.selected)])
-    with pytest.raises(DimensionMismatch):
-        evaluate_one(model, np.ones(5))
-
-
-def test_evaluate_one_linearity():
-    high, low = make_pair(seed=41)
-    dec = build_id(low, rank=5)
-    model = lift(dec, high[:, list(dec.selected)])
-    rng = np.random.default_rng(1)
-    a, b = rng.standard_normal(2)
-    c1, c2 = rng.standard_normal((2, 5))
-    lhs = evaluate_one(model, a * c1 + b * c2)
-    rhs = a * evaluate_one(model, c1) + b * evaluate_one(model, c2)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
-
-
-def test_fit_coefficients_consistent_with_in_sample_columns():
-    _, low = make_pair(seed=43)
-    dec = build_id(low, rank=5)
-    for k in (1, 7, 12):
-        c = fit_coefficients(dec, low[:, k])
-        assert np.max(np.abs(c - dec.coeffs[:, k])) <= 1e-8
 
 
 def test_model_sample_ids_follow_selection():
