@@ -16,10 +16,8 @@ from .bound import (
     default_tau_grid,
     efficacy_study,
     epsilon_estimated,
-    epsilon_exact,
     minimize_bound,
     minimize_bound_two_tau,
-    rho,
     tau_grid,
     write_bound_report,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "default_tau_grid",
     "efficacy_study",
     "epsilon_estimated",
-    "epsilon_exact",
     "evaluate_all",
     "lift",
     "minimize_bound",
@@ -57,7 +54,6 @@ __all__ = [
     "pivoted_qr",
     "pseudo_inverse",
     "required_samples",
-    "rho",
     "singular_values",
     "spectral_norm",
     "svd",

@@ -19,6 +19,9 @@ sub-sampled columns, scaled by c = N/n:
 
     eps_hat(tau) = c * lambda_max(Gh_hat - tau Gl_hat).
 
+The pair of all N columns (:meth:`GramianPair.full`, c = 1) gives the exact
+eps(tau).
+
 With sub-sampling, eps_hat may be negative and individual radicands may turn
 negative; such (k, tau) combinations are skipped rather than clamped, which
 only shrinks the searched set. The estimate from sub-sampled data is
@@ -59,9 +62,7 @@ __all__ = [
     "EfficacyResult",
     "default_tau_grid",
     "tau_grid",
-    "epsilon_exact",
     "epsilon_estimated",
-    "rho",
     "minimize_bound",
     "minimize_bound_two_tau",
     "efficacy_study",
@@ -237,11 +238,6 @@ def _check_tau(tau) -> np.ndarray:
     return taus
 
 
-def epsilon_exact(high: SnapshotMatrix, low: SnapshotMatrix, tau):
-    """lambda_max(H^T H - tau L^T L) from the full aligned ensembles."""
-    return epsilon_estimated(GramianPair.full(high, low), tau)
-
-
 def epsilon_estimated(pair: GramianPair, tau):
     """c * lambda_max(Gh_hat - tau Gl_hat); may be negative.
 
@@ -279,24 +275,6 @@ def epsilon_estimated(pair: GramianPair, tau):
 # --------------------------------------------------------------------------
 # rho and the grid minimization
 # --------------------------------------------------------------------------
-
-def rho(k: int, tau: float, eps: float, sigma: SingularSpectrum,
-        cl_norm: float, id_residual: float) -> float | None:
-    """Bound term rho_k(tau) for a given eps; None when invalid.
-
-    Invalid means a negative radicand (possible only with estimated eps).
-    By convention sigma_{k+1} is taken as 0 when k = rank(L). The value is
-    the sweep's own cell, so it equals ``BoundReport.rho_at`` bitwise.
-    """
-    t = float(_check_tau(tau))
-    rank = sigma.numerical_rank()
-    if not 1 <= k <= rank:
-        raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
-    term1, term2 = _rho_terms(np.array([t]), np.array([float(eps)]), sigma,
-                              cl_norm, id_residual)
-    value = float(term1[0, k - 1] + term2[0, k - 1])
-    return None if np.isnan(value) else value
-
 
 def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: SingularSpectrum,
                cl_norm: float, id_residual: float, *, floor: bool = False):
@@ -347,10 +325,6 @@ class BoundReport:
     cl_norm: float
     id_residual: float
     best_tau2: float | None = None
-
-    def rho_at(self, k: int, tau_index: int) -> float:
-        """rho_k at a grid point; NaN when the combination was invalid."""
-        return float(self.rho_values[tau_index, k - 1])
 
     @property
     def rank(self) -> int:

@@ -50,7 +50,7 @@ from .snapio import (
     write_id,
     write_snapshots,
 )
-from .snapshots import SnapshotMatrix
+from .snapshots import SnapshotMatrix, _positional_ids
 
 __all__ = ["cli_main", "main"]
 
@@ -159,7 +159,7 @@ def _cmd_generate(args) -> list[str]:
     prefix = args.out or args.model
     if args.model == "beam":
         cfg = BeamConfig(n_grid=args.grid)
-        samples = draw_beam_samples(args.samples, seed=args.seed, cfg=cfg)
+        samples = draw_beam_samples(args.samples, seed=args.seed)
         high, low = beam_pair(samples, cfg)
         config_doc = {"n_grid": cfg.n_grid}
     else:
@@ -231,11 +231,9 @@ def _cmd_lift(args) -> list[str]:
                 f"high-fidelity skeleton ids {list(skeleton.sample_ids)} do not "
                 f"match the required ids {list(needed)}"
             )
-    model = lift(decomposition, skeleton.data, sample_ids=skeleton.sample_ids)
     estimate = SnapshotMatrix._adopt(
-        evaluate_all(model),
-        ids if ids is not None
-        else tuple(f"col-{j:06d}" for j in range(decomposition.n_samples)),
+        evaluate_all(lift(decomposition, skeleton.data)),
+        ids if ids is not None else _positional_ids(decomposition.n_samples),
     )
     write_snapshots(estimate, args.out, fmt=args.format,
                     provenance={"kind": "bifidelity-estimate"})

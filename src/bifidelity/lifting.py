@@ -29,11 +29,10 @@ __all__ = [
 class BiFidelityModel:
     """A low-fidelity interpolation rule paired with high-fidelity skeleton
     columns; column j of ``high_skeleton`` corresponds to
-    ``decomposition.selected[j]`` and carries ``sample_ids[j]``."""
+    ``decomposition.selected[j]``."""
 
     decomposition: InterpDecomposition
     high_skeleton: np.ndarray
-    sample_ids: tuple[str, ...]
 
     def __post_init__(self):
         # a rank-0 rule has no skeleton columns
@@ -43,13 +42,9 @@ class BiFidelityModel:
                 f"high skeleton has {skel.shape[1]} columns, "
                 f"decomposition rank is {self.decomposition.rank}"
             )
-        ids = tuple(str(s) for s in self.sample_ids)
-        if len(ids) != self.decomposition.rank:
-            raise DimensionMismatch("one sample id per skeleton column required")
         skel = skel.copy()
         skel.flags.writeable = False
         object.__setattr__(self, "high_skeleton", skel)
-        object.__setattr__(self, "sample_ids", ids)
 
     @property
     def rank(self) -> int:
@@ -70,34 +65,25 @@ def required_samples(
     return tuple(ids[j] for j in decomposition.selected)
 
 
-def lift(
-    decomposition: InterpDecomposition,
-    high_skeleton,
-    sample_ids: Sequence[str] | None = None,
-) -> BiFidelityModel:
+def lift(decomposition: InterpDecomposition, high_skeleton) -> BiFidelityModel:
     """Pair high-fidelity skeleton columns with the low-fidelity rule.
 
     ``high_skeleton`` must have one column per selected index, in the same
     order as ``decomposition.selected``.
     """
-    if sample_ids is None:
-        sample_ids = tuple(f"sel-{j:06d}" for j in decomposition.selected)
-    return BiFidelityModel(
-        decomposition=decomposition,
-        high_skeleton=high_skeleton,
-        sample_ids=tuple(sample_ids),
-    )
+    return BiFidelityModel(decomposition=decomposition, high_skeleton=high_skeleton)
 
 
 def evaluate_all(model: BiFidelityModel) -> np.ndarray:
-    """Bi-fidelity estimates for every sample column (dim x n_samples)."""
+    """Bi-fidelity estimates for every sample column (dim x n_samples),
+    column-major, as a BFSM payload holds it: writing it needs no copy."""
     rows, cols = model.high_skeleton.shape[0], model.decomposition.n_samples
     # a skeleton without columns holds no entries to bound its row count
     if 8 * rows * cols > np.iinfo(np.intp).max:
         raise DimensionMismatch(
             f"an estimate of {rows} x {cols} exceeds the largest array size")
     try:
-        out = np.empty((rows, cols))
+        out = np.empty((rows, cols), order="F")
     except MemoryError as exc:
         raise DimensionMismatch(
             f"cannot allocate an estimate of {rows} x {cols}") from exc

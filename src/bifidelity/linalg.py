@@ -6,12 +6,12 @@ are plain float64 ``numpy`` arrays; validation rejects NaN/Inf up front.
 
 The column-pivoted QR is authored here because its pivot policy (greedy
 max-residual-norm, lowest column index on ties) and its tolerance-mode
-stopping rule are part of the package contract. The SVD, the
-pseudo-inverse and the eigensolve of the Gram-side norm delegate to LAPACK
-via ``numpy.linalg``; independent Jacobi implementations live in the test
-suite as cross-checking oracles. That eigensolve takes a Gram the kernel
-summed itself, symmetric by construction, so no kernel here symmetrises a
-given matrix.
+stopping rule are part of the package contract; it works at any scale of
+its input. The SVD, the pseudo-inverse and the eigensolve of the
+Gram-side norm delegate to LAPACK via ``numpy.linalg``; independent Jacobi
+implementations live in the test suite as cross-checking oracles. That
+eigensolve takes a Gram the kernel summed itself, symmetric by
+construction, so no kernel here symmetrises a given matrix.
 """
 
 from dataclasses import dataclass
@@ -84,14 +84,6 @@ class SingularSpectrum:
     def __len__(self) -> int:
         return self.values.size
 
-    def sigma(self, k: int) -> float:
-        """sigma_k with the 1-based indexing convention; 0.0 past the end."""
-        if k < 1:
-            raise DimensionMismatch(f"singular value index must be >= 1, got {k}")
-        if k > self.values.size:
-            return 0.0
-        return float(self.values[k - 1])
-
     def numerical_rank(self) -> int:
         """Number of singular values above ``DEFAULT_CUTOFF * sigma_1``."""
         if self.values[0] == 0.0:
@@ -119,9 +111,11 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
 
     Returns ``(Q, R, perm, rank)``: Q with `rank` orthonormal columns, R of
     shape (rank, cols) upper triangular in its leading block, and ``perm`` the
-    full column permutation (first `rank` entries are the pivots). A column
-    norm that overflows (entries above about 1e154) raises
-    :class:`NonFiniteInput`.
+    full column permutation (first `rank` entries are the pivots). The steps
+    run on A 2^-e, max|A| < 2^e, against tol 2^-e, and R is scaled back: an
+    exact scaling, so no column norm overflows at any scale of A. A nonzero
+    trailing block whose column norms all underflow (every entry about 1e162
+    below max|A|) raises :class:`NonFiniteInput`.
     """
     a = _as_matrix(a, "A")
     m, n = a.shape
@@ -137,19 +131,25 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
             raise DimensionMismatch(f"tolerance must be finite and >= 0, got {tol}")
         target = max_rank
 
-    w = a.copy()
+    # a C-order copy of A, scaled in place by 2^-e with max|A| < 2^e: the
+    # layout decides the bits of the products
+    w = a.copy(order="C")
+    _, e = np.frexp(max(w.max(), -w.min()))
+    np.ldexp(w, -e, out=w)
+    if tol is not None:
+        tol = np.ldexp(tol, -e)
     perm = np.arange(n)
     q_full = np.zeros((m, max_rank))
     r_full = np.zeros((max_rank, n))
 
     k = 0
     while k < target:
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(w[:, k:], axis=0)
+        norms = np.linalg.norm(w[:, k:], axis=0)
         j = k + int(np.argmax(norms))  # argmax returns the first max: ties go low
-        if not np.isfinite(norms[j - k]):
-            # squares of entries above about 1e154 overflow
-            raise NonFiniteInput("column norms of A overflow")
+        if norms[j - k] == 0.0 and w[:, k:].any():
+            raise NonFiniteInput(
+                f"column norms of A underflow after {k} steps: the trailing block "
+                "is not zero, but every entry lies about 1e162 below max|A|")
         if tol is not None and _within_tol(w[:, k:], norms, tol):
             break
         if norms[j - k] == 0.0:
@@ -175,7 +175,7 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
         w[:, k:] -= np.outer(q, row)
         k += 1
 
-    return q_full[:, :k].copy(), r_full[:k].copy(), perm, k
+    return q_full[:, :k].copy(), np.ldexp(r_full[:k], e), perm, k
 
 
 def _within_tol(trailing: np.ndarray, norms: np.ndarray, tol: float) -> bool:

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .interp import InterpDecomposition
 from .linalg import _all_finite
-from .snapshots import SnapshotMatrix
+from .snapshots import SnapshotMatrix, _positional_ids
 
 __all__ = [
     "read_snapshots",
@@ -222,7 +222,7 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
         raise NonFiniteEntry(f"{path}: non-finite value at row {i}, column {j}")
     ids = _read_sidecar(path)
     if ids is None:
-        ids = [f"col-{j:06d}" for j in range(n_samples)]
+        ids = _positional_ids(n_samples)
     if len(ids) != n_samples:
         raise DimensionMismatch(
             f"{path}: sidecar lists {len(ids)} ids for {n_samples} columns"

@@ -69,8 +69,7 @@ class SnapshotMatrix:
         """Wrap an array; ids default to positional ``col-000000`` style."""
         d = np.asarray(data, dtype=np.float64)
         if sample_ids is None:
-            n = d.shape[1] if d.ndim == 2 else 0
-            sample_ids = tuple(f"col-{j:06d}" for j in range(n))
+            sample_ids = _positional_ids(d.shape[1] if d.ndim == 2 else 0)
         return cls(data=d, sample_ids=tuple(sample_ids))
 
     def columns(self, indices) -> "SnapshotMatrix":
@@ -79,6 +78,11 @@ class SnapshotMatrix:
         # a list index gathers into a new array
         return SnapshotMatrix._adopt(self.data[:, idx],
                                      tuple(self.sample_ids[j] for j in idx))
+
+
+def _positional_ids(n: int) -> tuple[str, ...]:
+    """The ids ``col-000000, ...`` of n columns that come without ids."""
+    return tuple(f"col-{j:06d}" for j in range(n))
 
 
 def aligned_sample_ids(high: SnapshotMatrix, low: SnapshotMatrix) -> None:

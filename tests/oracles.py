@@ -25,6 +25,12 @@ full ``minimize_bound`` sweep per sub-sample, against which the study's
 pruned best-rho search must agree bit for bit. Its true error goes through
 the study's own Gram-side kernel, which the accuracy tests hold to the SVD.
 
+``rho`` is the bound term of one (k, tau) cell as a scalar formula, with
+the operations of the package's vectorised kernel in its order, so each
+cell must match the sweep's bit for bit. ``epsilon_exact`` (eps of the full
+ensembles) and ``sigma_k`` (sigma_k of a spectrum, 1-based) are the
+package's former functions, which only tests called.
+
 Finally, ``eps_lambda_max_symmetric`` is the former eps kernel, which sent
 each chunk of pencils through ``lambda_max_symmetric`` (a finiteness scan
 and (S + S^T)/2 per chunk); the kernel that solves the pair's pencil
@@ -34,13 +40,16 @@ package's former functions of those names, kept here as that reference; a
 non-square input raises ``DimensionMismatch``.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from bifidelity.bound import (EPS_CHUNK_BYTES, GramianPair, _lifting_error,
-                             minimize_bound)
-from bifidelity.errors import (DimensionMismatch, KOutOfRange, NoConvergence,
-                              NonFiniteInput, ToleranceUnreachable)
+                             epsilon_estimated, minimize_bound)
+from bifidelity.errors import (DimensionMismatch, KOutOfRange, NegativeTau,
+                              NoConvergence, NonFiniteInput,
+                              ToleranceUnreachable)
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
 from bifidelity.linalg import pivoted_qr, pseudo_inverse, singular_values, svd
 from bifidelity.snapshots import aligned_sample_ids
@@ -175,6 +184,44 @@ def eps_full_eigvalsh(gh, gl, c, tau):
                      for t in np.atleast_1d(tau)])
 
 
+def sigma_k(spectrum, k):
+    """sigma_k of a SingularSpectrum with the 1-based indexing convention;
+    0.0 past the end."""
+    if k < 1:
+        raise DimensionMismatch(f"singular value index must be >= 1, got {k}")
+    if k > spectrum.values.size:
+        return 0.0
+    return float(spectrum.values[k - 1])
+
+
+def epsilon_exact(high, low, tau):
+    """lambda_max(H^T H - tau L^T L) from the full aligned ensembles."""
+    return epsilon_estimated(GramianPair.full(high, low), tau)
+
+
+def rho(k, tau, eps, sigma, cl_norm, id_residual):
+    """Bound term rho_k(tau) for a given eps; None when a radicand is
+    negative (possible only with estimated eps) or NaN.
+
+    (1 + cl_norm) sqrt(tau s_{k+1}^2 + eps) + id_residual sqrt(tau + eps / s_k^2)
+    with s_{k+1} = 0 at k = rank(L), each operation rounded as the sweep's
+    kernel rounds it.
+    """
+    t = float(tau)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise NegativeTau(f"tau must be finite and >= 0, got {t}")
+    rank = sigma.numerical_rank()
+    if not 1 <= k <= rank:
+        raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
+    sk = float(sigma.values[k - 1])
+    skp1 = float(sigma.values[k]) if k < rank else 0.0
+    rad1 = t * (skp1 * skp1) + float(eps)
+    rad2 = t + float(eps) / (sk * sk)
+    if not (rad1 >= 0.0 and rad2 >= 0.0):
+        return None
+    return (1.0 + cl_norm) * math.sqrt(rad1) + id_residual * math.sqrt(rad2)
+
+
 def random_matrix_with_spectrum(rng, rows, cols, sigmas):
     """U diag(sigmas) V^T with Haar-ish orthogonal factors."""
     k = len(sigmas)
@@ -230,17 +277,16 @@ def id_by_rank_scan(low, tol):
     raise ToleranceUnreachable(f"no rank up to {avail} meets {tol:g}")
 
 
-def diffusion_flux_banded(mu, n_nodes, cfg):
+def diffusion_flux_banded(weights, n_nodes):
     """Flux a u' of -(a u')' = 1, u(0) = u(1) = 0, on ``n_nodes`` nodes for one
-    input vector ``mu``: the same differences as the package, with the
-    tridiagonal system handed to ``scipy.linalg.solve_banded``."""
+    vector of mode weights c_i mu_i: the same differences as the package,
+    with the tridiagonal system handed to ``scipy.linalg.solve_banded``."""
     x = np.linspace(0.0, 1.0, n_nodes)
     h = x[1] - x[0]
-    modes = np.arange(1, cfg.d_params + 1)
-    amps = cfg.field_amplitude * cfg.field_decay ** (modes - 1)
+    modes = np.arange(1, weights.size + 1)
 
     def coefficient(points):
-        return np.exp(np.sin(np.pi * np.outer(points, modes)) @ (amps * mu))
+        return np.exp(np.sin(np.pi * np.outer(points, modes)) @ weights)
 
     a_half = coefficient(0.5 * (x[:-1] + x[1:]))
     n_int = n_nodes - 2

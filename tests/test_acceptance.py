@@ -15,9 +15,7 @@ from bifidelity.bound import (
     default_tau_grid,
     efficacy_study,
     epsilon_estimated,
-    epsilon_exact,
     minimize_bound,
-    rho,
 )
 from bifidelity.cli import cli_main
 from bifidelity.interp import build_id
@@ -34,7 +32,7 @@ from bifidelity.models import (
 from bifidelity.snapio import read_id, read_snapshots, write_id, write_snapshots
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import lifting_oracle_T
+from oracles import epsilon_exact, lifting_oracle_T, rho, sigma_k
 
 
 def _ids(n):
@@ -166,8 +164,8 @@ def test_criterion_4_lifting_operator_caps():
             t_mat, e_mat = lifting_oracle_T(high_s, low_s, k)
             e2 = spectral_norm(e_mat) ** 2
             t2 = spectral_norm(t_mat) ** 2
-            skp1 = sigma.sigma(k + 1) if k < rank else 0.0
-            sk2 = sigma.sigma(k) ** 2
+            skp1 = sigma_k(sigma, k + 1) if k < rank else 0.0
+            sk2 = sigma_k(sigma, k) ** 2
             for tau, eps in zip(taus, eps_values):
                 slack = 1e-9 * max(1.0, e2, t2)
                 assert e2 <= tau * skp1**2 + eps + slack
@@ -203,7 +201,7 @@ def test_criterion_5_efficacy_regime():
 def test_criterion_6_beam_study():
     start = time.time()
     cfg = BeamConfig()
-    samples = draw_beam_samples(100, seed=7, cfg=cfg)
+    samples = draw_beam_samples(100, seed=7)
     high, low = beam_pair(samples, cfg)
 
     # (a) numerically rank-1 low-fidelity ensemble

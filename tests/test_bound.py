@@ -17,10 +17,8 @@ from bifidelity.bound import (
     default_tau_grid,
     efficacy_study,
     epsilon_estimated,
-    epsilon_exact,
     minimize_bound,
     minimize_bound_two_tau,
-    rho,
     tau_grid,
     write_bound_report,
 )
@@ -43,9 +41,12 @@ from bifidelity.snapshots import SnapshotMatrix
 from oracles import (
     eps_full_eigvalsh,
     eps_lambda_max_symmetric,
+    epsilon_exact,
     lifting_oracle_T,
     max_quadratic_form,
     random_matrix_with_spectrum,
+    rho,
+    sigma_k,
 )
 
 
@@ -154,7 +155,7 @@ def test_estimate_stabilizes_with_subsample_growth():
     from bifidelity.models import BeamConfig, beam_pair, draw_beam_samples
 
     cfg = BeamConfig()
-    samples = draw_beam_samples(100, seed=7, cfg=cfg)
+    samples = draw_beam_samples(100, seed=7)
     high, low = beam_pair(samples, cfg)
     dec = build_id(low, rank=1)
     sigma = singular_values(low.data)
@@ -396,7 +397,7 @@ def test_scalar_rho_matches_report_cell_by_cell():
         for i, (t, e) in enumerate(zip(rep.tau_grid, rep.eps_values)):
             for k in range(1, rep.rank + 1):
                 value = rho(k, t, e, sigma, dec.coeff_norm(), dec.residual_norm)
-                expected = rep.rho_at(k, i)
+                expected = rep.rho_values[i, k - 1]
                 if value is None:
                     assert np.isnan(expected), (k, i)
                 else:
@@ -433,8 +434,8 @@ def test_simplified_bound_dominates_minimum_for_small_k():
         rep = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
         cap = np.sqrt(r * (n - r) + 1)
         for k in range(1, r + 1):
-            sk = sigma.sigma(k)
-            skp1 = sigma.sigma(k + 1) if k < sigma.numerical_rank() else 0.0
+            sk = sigma_k(sigma, k)
+            skp1 = sigma_k(sigma, k + 1) if k < sigma.numerical_rank() else 0.0
             rad = rep.tau_grid * sk**2 + rep.eps_values
             ok = rad >= 0.0
             simplified = cap * (1.0 + skp1 / sk) * np.sqrt(np.maximum(rad, 0.0))
@@ -963,11 +964,11 @@ def test_lifting_oracle_inequalities():
             t_mat, e_mat = lifting_oracle_T(high, low, k)
             e2 = spectral_norm(e_mat) ** 2
             t2 = spectral_norm(t_mat) ** 2
-            skp1 = sigma.sigma(k + 1) if k < rank else 0.0
+            skp1 = sigma_k(sigma, k + 1) if k < rank else 0.0
             for tau, e in zip(taus, eps):
                 slack = 1e-9 * max(1.0, e2, t2)
                 assert e2 <= tau * skp1**2 + e + slack
-                assert t2 <= tau + e / sigma.sigma(k) ** 2 + slack
+                assert t2 <= tau + e / sigma_k(sigma, k) ** 2 + slack
 
 
 def test_lifting_oracle_k_out_of_range():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from bifidelity.interp import build_id
 from bifidelity.snapio import read_id, read_snapshots, write_id, write_snapshots
 from bifidelity.lifting import required_samples
 from bifidelity.linalg import spectral_norm
+from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
 from oracles import efficacy_full_sweep
@@ -80,6 +83,69 @@ def test_generate_is_bitwise_reproducible(tmp_path):
                  "beam.high.bfsm.json", "beam.low.bfsm.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+# sha256 of every file the two generate commands below write, recorded with
+# numpy 2.4 and its bundled OpenBLAS on x86-64: the fixed model constants and
+# the solves must keep every bit
+GENERATE_DIGESTS = {
+    "bfsm": {
+        "beam.high.bfsm":
+            "884a9caf275434ed76a8714d7e015dc2c6c7c94bcf507253fc5e17bfec16c5cc",
+        "beam.high.bfsm.json":
+            "7e4498572ea1f22fa6767c5774ef91676682ccdf63a074c9f99bfb474c37e6fd",
+        "beam.low.bfsm":
+            "76cfb1197195fd5c39dc658e7474ff8f3b2f4623255d58db4b8b369ab48df3ba",
+        "beam.low.bfsm.json":
+            "7e4498572ea1f22fa6767c5774ef91676682ccdf63a074c9f99bfb474c37e6fd",
+        "beam.manifest.json":
+            "70b66a1ff644ed3adb2cbc36d2faed3462ef8b1754ef3af125ad7b4065ac2db0",
+        "diffusion.high.bfsm":
+            "ef665034462b272b6051d2e7db1e5861c241202cbb5226cad404a8e1bad78e7f",
+        "diffusion.high.bfsm.json":
+            "04a75070e593675005e1602e62ec7a0122e9d0bc3213940693dddd15500d0995",
+        "diffusion.low.bfsm":
+            "8074edf991fc3c0c6678ca452a167bc5d02df0a1098cf5f4b27e0488509b55bf",
+        "diffusion.low.bfsm.json":
+            "04a75070e593675005e1602e62ec7a0122e9d0bc3213940693dddd15500d0995",
+        "diffusion.manifest.json":
+            "8f52a0299f67061d5a6c81383eb7cd0aff4dcb6300fcc41db018312a94328fb1",
+    },
+    "csv": {
+        "beam.high.csv":
+            "607051bf5f4f11d04fefbbf57dedade49e4e7bbf3e7da9756f66e5fa22e48fbd",
+        "beam.high.csv.json":
+            "7e4498572ea1f22fa6767c5774ef91676682ccdf63a074c9f99bfb474c37e6fd",
+        "beam.low.csv":
+            "5420e2d45ff5a6da35700de83d5f84a0d37ac8a001f35de13628122c6b7836d4",
+        "beam.low.csv.json":
+            "7e4498572ea1f22fa6767c5774ef91676682ccdf63a074c9f99bfb474c37e6fd",
+        "beam.manifest.json":
+            "9705044ce1dd5114999d8c6a85759e903b5685c0af432c603dbd8d78fece349a",
+        "diffusion.high.csv":
+            "ee2844a90beb9152e77360be1c302922bdb19a4ce1a5cdb019b1838caf43db14",
+        "diffusion.high.csv.json":
+            "04a75070e593675005e1602e62ec7a0122e9d0bc3213940693dddd15500d0995",
+        "diffusion.low.csv":
+            "03957da11b762dbdf5c2c2c0a1bb5faf64537f9ed1bfbd26b6934b4ef20966f2",
+        "diffusion.low.csv.json":
+            "04a75070e593675005e1602e62ec7a0122e9d0bc3213940693dddd15500d0995",
+        "diffusion.manifest.json":
+            "06219b4c9787ebb63a41aacd7e01e8b39f591fb5cfa8a96b287a685a58fc6269",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["bfsm", "csv"])
+def test_generate_writes_the_recorded_bytes(tmp_path, fmt):
+    assert cli_main(["generate", "beam", "--samples", "30", "--seed", "1",
+                     "--out", str(tmp_path / "beam"), "--format", fmt]) == 0
+    assert cli_main(["generate", "diffusion", "--samples", "30", "--seed", "1",
+                     "--mesh-high", "64", "--out", str(tmp_path / "diffusion"),
+                     "--format", fmt]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == GENERATE_DIGESTS[fmt]
 
 
 def test_full_pipeline_reproducible(tmp_path):
@@ -548,16 +614,21 @@ def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
 
 
 def test_overflowing_column_norms_exit_two_without_warnings(tmp_path, capsys):
-    """An entry of 1e300 squares past the float range: the QR's column norms
-    overflow, so decompose stops with a data error instead of pivoting on
-    an infinite norm."""
+    """An entry of 1e300 squares past the float range, but the QR works on
+    A scaled below 1, so its column norms never overflow: --rank 1 pivots
+    on that entry. The residual left after it lies about 1e300 below it,
+    where every column norm underflows to 0 while the block is not zero, so
+    --rank 3 stops with a data error instead of returning rank 1."""
     data = np.random.default_rng(0).standard_normal((3, 4))
     data[1, 2] = 1e300
     low = tmp_path / "low.bfsm"
     write_snapshots(SnapshotMatrix.from_array(data), low)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+        assert cli_main(["decompose", "--low", str(low), "--rank", "1",
+                         "--out-id", str(tmp_path / "one.json")]) == 0
+        assert read_id(tmp_path / "one.json")[0].selected == (2,)
+        _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "3",
                                     "--out-id", str(tmp_path / "id.json")])
     assert caught == []
     assert not (tmp_path / "id.json").exists()
@@ -831,6 +902,29 @@ def test_efficacy_output_matches_a_full_sweep_per_trial(tmp_path, capsys, study,
         + f"mean: {mean}\ntrue_error: {true_error!r}\n{out}\n"
     assert out.read_bytes() == ("trial,ratio\n" + "".join(f"{t},{r}\n" for t, r in rows)
                                 + f"mean,{mean}\n").encode("utf-8")
+
+
+def test_bfsm_lift_holds_one_estimate(tmp_path):
+    """evaluate_all builds the estimate column-major, as a BFSM payload holds
+    it, so the write takes its buffer without a copy: on a 256 x 2000 study
+    the traced peak of lift is within 1.3 times the estimate's bytes (1.15
+    here; a row-major estimate and its column-major copy read 2.10)."""
+    cfg = DiffusionConfig(mesh_low=16, mesh_high=256)
+    high, low = diffusion_pair(draw_diffusion_samples(2000, seed=1, cfg=cfg), cfg)
+    dec = build_id(low, rank=10)
+    write_id(dec, tmp_path / "id.json", sample_ids=low.sample_ids)
+    write_snapshots(high.columns(dec.selected), tmp_path / "skel.bfsm")
+    estimate_bytes = high.data.nbytes
+    del high, low, dec
+    tracemalloc.start()
+    try:
+        assert cli_main(["lift", "--id", str(tmp_path / "id.json"),
+                         "--high-skeleton", str(tmp_path / "skel.bfsm"),
+                         "--out", str(tmp_path / "est.bfsm")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * estimate_bytes, peak / estimate_bytes
 
 
 def test_lift_of_rank_zero_whose_estimate_cannot_be_allocated_exits_two(tmp_path, capsys):

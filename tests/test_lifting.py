@@ -81,15 +81,6 @@ def test_corresponding_estimates_identity():
     assert err_high == err_low
 
 
-def test_model_sample_ids_follow_selection():
-    high, low = make_pair(seed=47)
-    dec = build_id(low, rank=3)
-    ids = [f"s{j}" for j in range(low.shape[1])]
-    need = required_samples(dec, ids)
-    model = lift(dec, high[:, list(dec.selected)], sample_ids=need)
-    assert model.sample_ids == need
-
-
 def test_evaluate_all_reports_a_failed_allocation_as_a_data_error(monkeypatch):
     high, low = make_pair(seed=9)
     dec = build_id(low, rank=3)

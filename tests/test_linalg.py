@@ -22,6 +22,7 @@ from bifidelity.linalg import (
     svd,
 )
 
+from bifidelity.interp import build_id
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     qr_rank_by_norm,
     random_matrix_with_spectrum,
     rank_by_svd,
+    sigma_k,
 )
 
 
@@ -110,6 +112,54 @@ def test_pivoted_qr_deterministic():
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
     assert np.array_equal(first[2], second[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), cols=st.integers(1, 30),
+       power=st.integers(-900, 900))
+def test_pivoted_qr_is_exact_under_power_of_two_scaling(seed, rows, cols, power):
+    """A 2^power: the same pivots, Q and rank, and R scaled by 2^power bit
+    for bit, in both modes; the entries stay normal at every such scale."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1.0, 2.0, (rows, cols)) * rng.choice([-1.0, 1.0], (rows, cols))
+    scaled = np.ldexp(a, power)
+    rank = int(rng.integers(1, min(rows, cols) + 1))
+    tol = float(np.linalg.norm(a, 2)) * 10.0 ** -rng.uniform(0.0, 3.0)
+    for kwargs, scaled_kwargs in (({"rank": rank}, {"rank": rank}),
+                                  ({"tol": tol}, {"tol": np.ldexp(tol, power)})):
+        q, r, perm, k = pivoted_qr(a, **kwargs)
+        q2, r2, perm2, k2 = pivoted_qr(scaled, **scaled_kwargs)
+        assert (k2, perm2.tolist()) == (k, perm.tolist())
+        assert q2.tobytes() == q.tobytes()
+        assert r2.tobytes() == np.ldexp(r, power).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_build_id_far_from_unit_scale_selects_the_unit_scale_columns(scale):
+    """Entries all below 1e-162 square to zero and entries above 1e154
+    overflow, but the QR works at a power-of-two scale of the matrix."""
+    g = np.random.default_rng(0).standard_normal((20, 30))
+    sigma = np.linalg.svd(g, compute_uv=False)
+    for kwargs, scaled_kwargs in (({"rank": 10}, {"rank": 10}),
+                                  ({"tol": 1.01 * sigma[4]},
+                                   {"tol": 1.01 * sigma[4] * scale})):
+        unit = build_id(g, **kwargs)
+        far = build_id(g * scale, **scaled_kwargs)
+        assert far.selected == unit.selected
+        assert far.residual_norm / scale == pytest.approx(unit.residual_norm, rel=1e-12)
+
+
+def test_pivoted_qr_refuses_a_residual_whose_column_norms_underflow():
+    """After pivoting on 1e300, the O(1) entries left are 1e300 below
+    max|A|: every column norm is 0 though the block is not, so a further
+    step would stop early on a residual that is not zero."""
+    a = np.random.default_rng(0).standard_normal((3, 4))
+    a[1, 2] = 1e300
+    assert pivoted_qr(a, rank=1)[2][0] == 2
+    with pytest.raises(NonFiniteInput, match="underflow after 1 steps"):
+        pivoted_qr(a, rank=2)
+    with pytest.raises(NonFiniteInput, match="underflow after 1 steps"):
+        pivoted_qr(a, tol=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -370,8 +420,8 @@ def test_spectrum_validation():
 
 def test_spectrum_accessors():
     s = SingularSpectrum(np.array([4.0, 2.0, 1e-20]))
-    assert s.sigma(1) == 4.0
-    assert s.sigma(4) == 0.0
+    assert sigma_k(s, 1) == 4.0
+    assert sigma_k(s, 4) == 0.0
     assert s.numerical_rank() == 2
     assert len(s) == 3
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifidelity.errors import DataError, DimensionMismatch, OutOfBounds, SolverFailure
+from bifidelity.errors import DimensionMismatch, OutOfBounds, SolverFailure
 from bifidelity.interp import build_id
 from bifidelity.models import (
-    COEFFICIENT_SPAN_LIMIT,
     SOLVE_BLOCK,
     BeamConfig,
     DiffusionConfig,
@@ -58,7 +57,7 @@ def test_beam_lofi_out_of_bounds():
 
 def test_beam_snapshots_are_rank_one():
     cfg = BeamConfig()
-    samples = draw_beam_samples(100, seed=7, cfg=cfg)
+    samples = draw_beam_samples(100, seed=7)
     _, low = beam_pair(samples, cfg)
     s = np.linalg.svd(low.data, compute_uv=False)
     assert s[1] / s[0] <= 1e-12
@@ -68,17 +67,9 @@ def test_beam_snapshots_are_rank_one():
 # beam high-fidelity substitute
 # --------------------------------------------------------------------------
 
-def test_hifi_substitute_degenerates_without_shear():
-    cfg = BeamConfig()
-    assert np.array_equal(
-        beam_hifi_substitute(NOMINAL, cfg, shear_scale=0.0),
-        beam_lofi(NOMINAL, cfg),
-    )
-
-
 def test_hifi_tip_magnitude_exceeds_lofi():
     cfg = BeamConfig()
-    for sample in draw_beam_samples(100, seed=3, cfg=cfg):
+    for sample in draw_beam_samples(100, seed=3):
         assert abs(beam_hifi_substitute(sample, cfg)[-1]) > abs(
             beam_lofi(sample, cfg)[-1]
         )
@@ -86,7 +77,7 @@ def test_hifi_tip_magnitude_exceeds_lofi():
 
 def test_rank_one_lift_beats_lofi_on_ensemble():
     cfg = BeamConfig()
-    samples = draw_beam_samples(100, seed=7, cfg=cfg)
+    samples = draw_beam_samples(100, seed=7)
     high, low = beam_pair(samples, cfg)
     dec = build_id(low, rank=1)
     estimate = high.data[:, list(dec.selected)] @ dec.coeffs
@@ -98,21 +89,12 @@ def test_rank_one_lift_beats_lofi_on_ensemble():
 
 def test_beam_pair_deterministic():
     cfg = BeamConfig()
-    samples = draw_beam_samples(20, seed=5, cfg=cfg)
+    samples = draw_beam_samples(20, seed=5)
     h1, l1 = beam_pair(samples, cfg)
-    h2, l2 = beam_pair(draw_beam_samples(20, seed=5, cfg=cfg), cfg)
+    h2, l2 = beam_pair(draw_beam_samples(20, seed=5), cfg)
     assert np.array_equal(h1.data, h2.data)
     assert np.array_equal(l1.data, l2.data)
     assert h1.sample_ids == h2.sample_ids
-
-
-def test_beam_config_validation():
-    with pytest.raises(DimensionMismatch):
-        BeamConfig(h3=0.0)
-    with pytest.raises(DimensionMismatch):
-        BeamConfig(q_range=(11.0, 9.0))
-    with pytest.raises(DimensionMismatch):
-        BeamConfig(hole_radius=4.0)  # holes would consume the web
 
 
 # --------------------------------------------------------------------------
@@ -198,35 +180,8 @@ def test_sample_ids_are_aligned_and_distinct():
 # diffusion solve: bits of the banded solve, error classes, memory
 # --------------------------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
-@given(meshes=st.lists(st.integers(3, 1024), min_size=2, max_size=2).map(sorted),
-       d_params=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       count=st.sampled_from([1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1]),
-       amplitude=st.sampled_from([1.0, 0.0, 0.3, 4.0, 10.0]))
-@example(meshes=[3, 3], d_params=1, seed=0, count=1, amplitude=1.0)
-@example(meshes=[16, 1024], d_params=8, seed=1, count=SOLVE_BLOCK + 1, amplitude=1.0)
-def test_diffusion_pair_equals_banded_solve_bitwise(meshes, d_params, seed, count,
-                                                    amplitude):
-    cfg = DiffusionConfig(mesh_low=meshes[0], mesh_high=meshes[1],
-                          d_params=d_params, field_amplitude=amplitude)
-    samples = draw_diffusion_samples(count, seed=seed, cfg=cfg)
-    high, low = diffusion_pair(samples, cfg)
-    for snapshot, n_nodes in ((high, cfg.mesh_high), (low, cfg.mesh_low)):
-        expected = np.column_stack(
-            [diffusion_flux_banded(s.mu, n_nodes, cfg) for s in samples])
-        assert snapshot.data.tobytes() == expected.tobytes()
-
-
-def test_diffusion_nan_input_is_a_solver_failure():
-    cfg = DiffusionConfig()
-    nan = ParameterSample(id="nan", mu=np.full(cfg.d_params, np.nan))
-    with pytest.raises(SolverFailure, match="matrix holds infs or NaNs"):
-        diffusion_pair([nan], cfg)
-
-
-# The three fields below lie past COEFFICIENT_SPAN_LIMIT, which DiffusionConfig
-# rejects; the solve's own guards are reached through the solve itself.
-AMPS = 0.5 ** np.arange(5)  # the default decay over five modes
+# the default field: amplitude 1, decay 0.5, over the first modes
+AMPS = DiffusionConfig.field_amplitude * DiffusionConfig.field_decay ** np.arange(8)
 
 
 def _mesh_flux(weights, n_nodes):
@@ -237,56 +192,74 @@ def _mesh_flux(weights, n_nodes):
                        np.sin(np.pi * np.outer(x, modes)))
 
 
+def _banded_fluxes(weights, n_nodes):
+    return np.column_stack([diffusion_flux_banded(w, n_nodes) for w in weights])
+
+
+@settings(max_examples=40, deadline=None)
+@given(meshes=st.lists(st.integers(3, 1024), min_size=2, max_size=2).map(sorted),
+       d_params=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1]),
+       amplitude=st.sampled_from([1.0, 0.0, 0.3, 4.0, 10.0]))
+@example(meshes=[3, 3], d_params=1, seed=0, count=1, amplitude=1.0)
+@example(meshes=[16, 1024], d_params=8, seed=1, count=SOLVE_BLOCK + 1, amplitude=1.0)
+def test_diffusion_pair_equals_banded_solve_bitwise(meshes, d_params, seed, count,
+                                                    amplitude):
+    """The pair at the config's field, and the solve at that field scaled by
+    ``amplitude``, each bit for bit the banded solve of the same weights."""
+    cfg = DiffusionConfig(mesh_low=meshes[0], mesh_high=meshes[1], d_params=d_params)
+    samples = draw_diffusion_samples(count, seed=seed, cfg=cfg)
+    high, low = diffusion_pair(samples, cfg)
+    weights = np.array([AMPS[:d_params] * s.mu for s in samples])
+    for snapshot, n_nodes in ((high, cfg.mesh_high), (low, cfg.mesh_low)):
+        assert snapshot.data.tobytes() == _banded_fluxes(weights, n_nodes).tobytes()
+        scaled = amplitude * weights
+        assert _mesh_flux(scaled, n_nodes).tobytes() == \
+            _banded_fluxes(scaled, n_nodes).tobytes()
+
+
+def test_diffusion_nan_input_is_a_solver_failure():
+    cfg = DiffusionConfig()
+    nan = ParameterSample(id="nan", mu=np.full(cfg.d_params, np.nan))
+    with pytest.raises(SolverFailure, match="matrix holds infs or NaNs"):
+        diffusion_pair([nan], cfg)
+
+
+# The three fields below span far more than 1e16; the solve's own guards
+# are reached through the solve itself, at the first five modes' weights.
+AMPS5 = AMPS[:5]
+
+
 def test_diffusion_overflowing_coefficient_is_a_solver_failure():
     with np.errstate(over="ignore"), pytest.raises(SolverFailure,
                                                    match="matrix holds infs or NaNs"):
-        _mesh_flux(800.0 * AMPS[None, :], 256)
+        _mesh_flux(800.0 * AMPS5[None, :], 256)
 
 
 def test_diffusion_underflowing_coefficient_is_a_solver_failure():
     with pytest.raises(SolverFailure, match="diffusion coefficient must be positive"):
-        _mesh_flux(-800.0 * AMPS[None, :], 256)
+        _mesh_flux(-800.0 * AMPS5[None, :], 256)
 
 
 def test_diffusion_pivot_lost_to_rounding_is_a_solver_failure():
     """A coefficient spanning far more than 1e16 leaves the pivot of a
     coarse-mesh row at zero; that is a failure, not a NaN flux."""
     samples = draw_diffusion_samples(40, seed=2, cfg=DiffusionConfig())
-    weights = np.array([80.0 * AMPS * s.mu for s in samples])
+    weights = np.array([80.0 * AMPS5 * s.mu for s in samples])
     with pytest.raises(SolverFailure, match="pivot is not positive"):
         for n_nodes in (8, 4):
             _mesh_flux(weights, n_nodes)
 
 
-def test_diffusion_config_at_the_span_limit_is_accepted_and_past_it_rejected():
-    """exp(2 sum_i c_i) = exp(2 a 1.9375) meets the limit at a = 10.696."""
-    at_limit = np.log(COEFFICIENT_SPAN_LIMIT) / (2.0 * AMPS.sum())
-    cfg = DiffusionConfig(mesh_low=8, mesh_high=64, field_amplitude=at_limit * (1 - 1e-9))
-    samples = draw_diffusion_samples(SOLVE_BLOCK + 1, seed=3, cfg=cfg)
-    for snapshot, n_nodes in zip(diffusion_pair(samples, cfg), (64, 8)):
-        expected = np.column_stack([diffusion_flux_banded(s.mu, n_nodes, cfg)
-                                    for s in samples])
-        assert snapshot.data.tobytes() == expected.tobytes()
-    for amplitude in (at_limit * (1 + 1e-9), 800.0, np.inf, np.nan):
-        with pytest.raises(OutOfBounds, match="above the limit 1e"):
-            DiffusionConfig(field_amplitude=amplitude)
-    with pytest.raises(OutOfBounds):  # eight modes without decay: 2 * 8 * 2.6 > 41.4
-        DiffusionConfig(d_params=8, field_amplitude=2.6, field_decay=1.0)
-    assert issubclass(OutOfBounds, DataError)  # exit code 2 at the command line
-
-
-@settings(max_examples=60, deadline=None)
-@given(amplitude=st.floats(0.0, 60.0), decay=st.floats(0.01, 1.0),
-       d_params=st.integers(1, 12))
-def test_diffusion_config_span_limit_is_the_bound_of_the_config(amplitude, decay,
-                                                                 d_params):
-    bound = 2.0 * amplitude * sum(decay**i for i in range(d_params))
-    if bound <= np.log(COEFFICIENT_SPAN_LIMIT):
-        DiffusionConfig(d_params=d_params, field_amplitude=amplitude, field_decay=decay)
-    else:
-        with pytest.raises(OutOfBounds):
-            DiffusionConfig(d_params=d_params, field_amplitude=amplitude,
-                            field_decay=decay)
+def test_diffusion_solve_at_amplitude_10_7_equals_banded_solve_bitwise():
+    """exp(2 sum_i c_i) = exp(2 a 1.9375) reaches 1e18 at a = 10.696; there
+    the elimination sweep still gives the banded solve's bits."""
+    amplitude = np.log(1e18) / (2.0 * AMPS5.sum()) * (1 - 1e-9)
+    samples = draw_diffusion_samples(SOLVE_BLOCK + 1, seed=3, cfg=DiffusionConfig())
+    weights = np.array([amplitude * AMPS5 * s.mu for s in samples])
+    for n_nodes in (64, 8):
+        assert _mesh_flux(weights, n_nodes).tobytes() == \
+            _banded_fluxes(weights, n_nodes).tobytes()
 
 
 def test_diffusion_pair_memory_on_the_bench_study():
