@@ -17,7 +17,6 @@ from .bound import (
     efficacy_study,
     epsilon_estimated,
     minimize_bound,
-    minimize_bound_two_tau,
     tau_grid,
     write_bound_report,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "evaluate_all",
     "lift",
     "minimize_bound",
-    "minimize_bound_two_tau",
     "pivoted_qr",
     "pseudo_inverse",
     "required_samples",

@@ -30,7 +30,7 @@ guarantee.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "tau_grid",
     "epsilon_estimated",
     "minimize_bound",
-    "minimize_bound_two_tau",
     "efficacy_study",
     "write_bound_report",
 ]
@@ -137,32 +136,25 @@ def _validate_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True, init=False)
 class GramianPair:
-    """Gramians of n sub-sampled high-/low-fidelity columns.
+    """The pencil of n sub-sampled high-/low-fidelity columns.
 
     A pair is built from the columns only, by :meth:`from_columns`, which
-    :meth:`from_snapshots` and :meth:`full` call. ``gh = Hs^T Hs`` and
-    ``gl = Ls^T Ls`` are n x n, from the same column indices of both
-    ensembles; ``n_sub`` = n is their size and ``c = n_total / n_sub`` the
-    scaling that compensates for the sub-sampling in eps_hat. Both are
-    positive semi-definite by construction, and exactly symmetric: numpy
-    forms A^T A with one triangle mirrored.
-
-    eps is read off ``_pencil``, read-only and exactly symmetric:
-    (gh, gl), or, when the columns Hs (dim_h x n) and Ls (dim_l x n) have
-    p = dim_h + dim_l < n, the p x p ``core_h = (Hs Q)^T (Hs Q)``,
-    ``core_l = (Ls Q)^T (Ls Q)``, with Q (n x p) the orthonormal factor of
-    the reduced QR of [Hs; Ls]^T.
+    :meth:`from_snapshots` and :meth:`full` call, from the same column
+    indices of both ensembles; ``n_sub`` = n is the number of columns and
+    ``c = n_total / n_sub`` the scaling that compensates for the
+    sub-sampling in eps_hat. ``gh`` and ``gl`` are the pencil eps is read
+    off, read-only, positive semi-definite and exactly symmetric: numpy
+    forms A^T A with one triangle mirrored. They are the n x n Gramians
+    ``Hs^T Hs`` and ``Ls^T Ls`` of the columns Hs (dim_h x n) and Ls
+    (dim_l x n), or, when p = dim_h + dim_l < n, the p x p cores
+    ``(Hs Q)^T (Hs Q)`` and ``(Ls Q)^T (Ls Q)``, with Q (n x p) the
+    orthonormal factor of the reduced QR of [Hs; Ls]^T.
     """
 
     gh: np.ndarray
     gl: np.ndarray
+    n_sub: int
     n_total: int
-    _pencil: tuple = field(default=None, repr=False, compare=False)
-
-    @property
-    def n_sub(self) -> int:
-        """The number n of sub-sampled columns, the size of the Gramians."""
-        return self.gh.shape[0]
 
     @property
     def c(self) -> float:
@@ -173,35 +165,31 @@ class GramianPair:
     def from_columns(cls, high_cols, low_cols, n_total: int) -> "GramianPair":
         """Build from the sub-sampled columns themselves (dims x n each).
 
-        The columns and their Gramians must be finite, both sets must have
-        n columns, and ``n_total`` must be a whole number of at least n.
+        The columns and the pencil must be finite, both sets must have n
+        columns, and ``n_total`` must be a whole number of at least n.
         """
         hc = _as_matrix(high_cols, "high columns")
         lc = _as_matrix(low_cols, "low columns")
-        if hc.shape[1] != lc.shape[1]:
-            raise SampleMismatch(
-                f"column counts differ: {hc.shape[1]} vs {lc.shape[1]}"
-            )
-        gh = _as_matrix(hc.T @ hc, "gh")
-        gl = _as_matrix(lc.T @ lc, "gl")
-        # NaN fails the comparison, and a fraction or inf leaves a remainder
-        if not 1 <= hc.shape[1] <= n_total or n_total % 1:
-            raise DimensionMismatch(
-                f"need 1 <= n_sub <= n_total with n_total a whole number, "
-                f"got {hc.shape[1]}, {n_total}"
-            )
-        pencil = (gh, gl)
-        if hc.shape[0] + lc.shape[0] < hc.shape[1]:
+        n_sub = hc.shape[1]
+        if lc.shape[1] != n_sub:
+            raise SampleMismatch(f"column counts differ: {n_sub} vs {lc.shape[1]}")
+        if hc.shape[0] + lc.shape[0] < n_sub:
             # Gh - tau Gl = Q (core_h - tau core_l) Q^T: the Gramians are
             # projected, not rebuilt from R, so H == L still cancels exactly
             q, _ = np.linalg.qr(np.vstack((hc, lc)).T)
-            hq, lq = hc @ q, lc @ q
-            pencil = (hq.T @ hq, lq.T @ lq)
-        for g in (gh, gl, *pencil):
-            g.flags.writeable = False
+            hc, lc = hc @ q, lc @ q
+        gh = _as_matrix(hc.T @ hc, "gh")
+        gl = _as_matrix(lc.T @ lc, "gl")
+        # NaN fails the comparison, and a fraction or inf leaves a remainder
+        if not 1 <= n_sub <= n_total or n_total % 1:
+            raise DimensionMismatch(
+                f"need 1 <= n_sub <= n_total with n_total a whole number, "
+                f"got {n_sub}, {n_total}"
+            )
+        gh.flags.writeable = gl.flags.writeable = False
         pair = object.__new__(cls)
-        for name, value in (("gh", gh), ("gl", gl), ("n_total", n_total),
-                            ("_pencil", pencil)):
+        for name, value in (("gh", gh), ("gl", gl), ("n_sub", n_sub),
+                            ("n_total", n_total)):
             object.__setattr__(pair, name, value)
         return pair
 
@@ -253,7 +241,7 @@ def epsilon_estimated(pair: GramianPair, tau):
     """
     taus = _check_tau(tau)
     flat = taus.reshape(-1)
-    gh, gl = pair._pencil
+    gh, gl = pair.gh, pair.gl
     top = flat.max(initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(gh - top * gl)):
@@ -304,13 +292,13 @@ def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: SingularSpectrum,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Full record of a bound sweep.
+    """What a bound sweep computed.
 
     ``rho_values`` has shape (len(tau_grid), rank); entry [i, k-1] is
-    rho_k(tau_grid[i]) and NaN marks skipped combinations. ``b1 + b2``
-    equals ``best_rho`` at the minimizer by construction. For the two-tau
-    variant ``best_tau`` scales the B1 term and ``best_tau2`` the B2 term;
-    otherwise ``best_tau2`` is None.
+    rho_k(tau_grid[i]) and NaN marks skipped combinations. ``b1`` and
+    ``b2`` are the two bound terms at the minimizer, and ``best_rho`` is
+    their sum. For the two-tau sweep ``best_tau`` scales the B1 term and
+    ``best_tau2`` the B2 term; otherwise ``best_tau2`` is None.
     """
 
     tau_grid: np.ndarray
@@ -318,13 +306,13 @@ class BoundReport:
     rho_values: np.ndarray
     best_tau: float
     best_k: int
-    best_rho: float
     b1: float
     b2: float
-    sigma: SingularSpectrum
-    cl_norm: float
-    id_residual: float
     best_tau2: float | None = None
+
+    @property
+    def best_rho(self) -> float:
+        return self.b1 + self.b2
 
     @property
     def rank(self) -> int:
@@ -342,13 +330,18 @@ def _argmin_first(values: np.ndarray) -> int:
     return flat
 
 
-def _sweep(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
-           id_residual: float, grid, *, two_tau: bool) -> BoundReport:
-    """eps_hat over the grid in one call, the rho term grids, and their minimizer.
+def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
+                   id_residual: float, grid=None, *, two_tau: bool = False
+                   ) -> BoundReport:
+    """Sweep rho_k(tau) over the grid and every k <= rank(L): eps_hat over
+    the grid in one call, the rho term grids, and their minimizer.
 
-    With ``two_tau`` the B1 and B2 terms are minimized over tau separately
-    for each k before minimizing over k; otherwise rho = B1 + B2 is
-    minimized over (tau, k) jointly.
+    rho = B1 + B2 is minimized over (tau, k) jointly. Scanning order is
+    ascending tau, then ascending k; ties on the minimum value resolve to
+    the earliest point in that order. With ``two_tau`` the B1 and B2 terms
+    are minimized over tau separately for each k before minimizing over k;
+    that feasible set contains every single-tau point, so the result never
+    exceeds the single-tau minimum.
     """
     g = _validate_grid(default_tau_grid() if grid is None else grid)
     eps = epsilon_estimated(pair, g)
@@ -363,20 +356,14 @@ def _sweep(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     else:
         ti, ki = np.unravel_index(_argmin_first(rho_grid), rho_grid.shape)
         ti2 = ti
-    b1 = float(term1[ti, ki])
-    b2 = float(term2[ti2, ki])
     return BoundReport(
         tau_grid=g,
         eps_values=eps,
         rho_values=rho_grid,
         best_tau=float(g[ti]),
         best_k=int(ki) + 1,
-        best_rho=b1 + b2,
-        b1=b1,
-        b2=b2,
-        sigma=sigma,
-        cl_norm=float(cl_norm),
-        id_residual=float(id_residual),
+        b1=float(term1[ti, ki]),
+        b2=float(term2[ti2, ki]),
         best_tau2=float(g[ti2]) if two_tau else None,
     )
 
@@ -403,7 +390,7 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     ``NonFiniteInput``; with no valid cell nothing is ruled out, so
     ``AllCombinationsInvalid`` is raised alike.
     """
-    gh, gl = pair._pencil
+    gh, gl = pair.gh, pair.gl
     unit = 8.0 * gh.shape[0] * np.finfo(np.float64).eps * pair.c
     with np.errstate(over="ignore"):
         # an overflowing slack only widens the search, to every gap
@@ -431,27 +418,6 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     return float(cells[ti, ki]), int(ti), int(ki) + 1
 
 
-def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
-                   id_residual: float, grid=None) -> BoundReport:
-    """Sweep rho_k(tau) over the grid and every k <= rank(L).
-
-    Scanning order is ascending tau, then ascending k; ties on the minimum
-    value resolve to the earliest point in that order.
-    """
-    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=False)
-
-
-def minimize_bound_two_tau(pair: GramianPair, sigma: SingularSpectrum,
-                           cl_norm: float, id_residual: float,
-                           grid=None) -> BoundReport:
-    """Variant minimizing the B1 and B2 terms over independent tau values.
-
-    The feasible set contains every single-tau point, so the result never
-    exceeds the single-tau minimum.
-    """
-    return _sweep(pair, sigma, cl_norm, id_residual, grid, two_tau=True)
-
-
 # --------------------------------------------------------------------------
 # efficacy study
 # --------------------------------------------------------------------------
@@ -462,9 +428,6 @@ class EfficacyResult:
 
     ratios: np.ndarray
     true_error: float
-    rank: int
-    n_sub: int
-    seed: int
 
     @property
     def mean(self) -> float:
@@ -557,13 +520,7 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
         except AllCombinationsInvalid as exc:
             raise AllCombinationsInvalid(f"trial {t}: {exc}") from exc
         ratios[t] = best_rho / true_error
-    return EfficacyResult(
-        ratios=ratios,
-        true_error=true_error,
-        rank=rank,
-        n_sub=n_sub,
-        seed=seed,
-    )
+    return EfficacyResult(ratios=ratios, true_error=true_error)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .bound import (
     default_tau_grid,
     efficacy_study,
     minimize_bound,
-    minimize_bound_two_tau,
     tau_grid,
     write_bound_report,
 )
@@ -260,10 +259,8 @@ def _cmd_bound(args) -> list[str]:
         high_sub.data, low.data[:, idx], n_total=low.n_samples
     )
     sigma = singular_values(low.data)
-    minimize = minimize_bound_two_tau if args.two_tau else minimize_bound
-    report = minimize(
-        pair, sigma, decomposition.coeff_norm(), decomposition.residual_norm, grid
-    )
+    report = minimize_bound(pair, sigma, decomposition.coeff_norm(),
+                            decomposition.residual_norm, grid, two_tau=args.two_tau)
     lines = [
         f"n_sub: {pair.n_sub} of {pair.n_total}",
         f"rank: {decomposition.rank}",
@@ -325,6 +322,17 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"data error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # numpy refuses an array past its size limit with a plain ValueError;
+        # any other, such as a LinAlgError, is a fault and stays one
+        if type(exc) is not ValueError or not str(exc).startswith(
+                ("Maximum allowed", "array is too big")):
+            raise
+        print(f"data error: cannot allocate: {exc}", file=sys.stderr)
+        return 2
     try:
         for line in lines:
             print(line)

@@ -32,10 +32,10 @@ class InterpDecomposition:
     ``selected`` are the skeleton column indices into the source matrix;
     ``skeleton`` holds those columns verbatim; ``coeffs`` is the r x N
     coefficient matrix; ``residual_norm`` is the spectral norm of the
-    reconstruction error, recomputed directly at build time.
+    reconstruction error, recomputed directly at build time. The rank is
+    the number of selected columns.
     """
 
-    rank: int
     selected: tuple[int, ...]
     skeleton: np.ndarray
     coeffs: np.ndarray
@@ -45,18 +45,16 @@ class InterpDecomposition:
         sel = tuple(int(j) for j in self.selected)
         skel = np.asarray(self.skeleton, dtype=np.float64)
         cf = np.asarray(self.coeffs, dtype=np.float64)
-        if self.rank != len(sel):
-            raise DimensionMismatch("rank must equal the number of selected columns")
         if len(set(sel)) != len(sel):
             raise DimensionMismatch("selected column indices must be distinct")
-        if skel.ndim != 2 or skel.shape[1] != self.rank:
+        if skel.ndim != 2 or skel.shape[1] != len(sel):
             raise DimensionMismatch("skeleton must have one column per selected index")
-        if cf.ndim != 2 or cf.shape[0] != self.rank:
+        if cf.ndim != 2 or cf.shape[0] != len(sel):
             raise DimensionMismatch("coeffs must have one row per selected index")
         if any(j < 0 or j >= cf.shape[1] for j in sel):
             raise DimensionMismatch("selected column index out of range")
-        if self.rank and not np.allclose(
-            cf[:, list(sel)], np.eye(self.rank), rtol=0.0, atol=1e-12
+        if sel and not np.allclose(
+            cf[:, list(sel)], np.eye(len(sel)), rtol=0.0, atol=1e-12
         ):
             raise DimensionMismatch("coeffs must carry an identity block on selected columns")
         skel = skel.copy()
@@ -67,6 +65,10 @@ class InterpDecomposition:
         object.__setattr__(self, "skeleton", skel)
         object.__setattr__(self, "coeffs", cf)
         object.__setattr__(self, "residual_norm", float(self.residual_norm))
+
+    @property
+    def rank(self) -> int:
+        return len(self.selected)
 
     @property
     def n_samples(self) -> int:
@@ -146,7 +148,6 @@ def build_id(low, *, rank: int | None = None, tol: float | None = None) -> Inter
             rank = got
             selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, rank)
     return InterpDecomposition(
-        rank=rank,
         selected=selected,
         skeleton=skeleton,
         coeffs=coeffs,

@@ -115,7 +115,8 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
     run on A 2^-e, max|A| < 2^e, against tol 2^-e, and R is scaled back: an
     exact scaling, so no column norm overflows at any scale of A. A nonzero
     trailing block whose column norms all underflow (every entry about 1e162
-    below max|A|) raises :class:`NonFiniteInput`.
+    below max|A|) ends tolerance mode when its bound sqrt(m (n - k)) 2^-537
+    2^e meets tol, and raises :class:`NonFiniteInput` otherwise.
     """
     a = _as_matrix(a, "A")
     m, n = a.shape
@@ -147,6 +148,10 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
         norms = np.linalg.norm(w[:, k:], axis=0)
         j = k + int(np.argmax(norms))  # argmax returns the first max: ties go low
         if norms[j - k] == 0.0 and w[:, k:].any():
+            # every entry is below 2^-537 of the scale, so the 2-norm of the
+            # block is below sqrt(m (n - k)) 2^-537
+            if tol is not None and np.sqrt(m * (n - k)) * 2.0**-537 <= tol:
+                break
             raise NonFiniteInput(
                 f"column norms of A underflow after {k} steps: the trailing block "
                 "is not zero, but every entry lies about 1e162 below max|A|")

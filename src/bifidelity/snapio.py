@@ -335,11 +335,13 @@ def read_id(path):
         if ids is None:
             raise MalformedFile(f"{path}: a rank-0 decomposition needs 'sample_ids'")
         coeffs = np.zeros((0, len(ids)))
+    selected = tuple(_list_of(doc, "selected", int, path))
+    skeleton = _matrix(doc, "skeleton", path)
+    residual_norm = float(_field(doc, "residual_norm", (int, float), path))
+    if rank != len(selected):
+        raise DimensionMismatch("rank must equal the number of selected columns")
     decomposition = InterpDecomposition(
-        rank=rank,
-        selected=tuple(_list_of(doc, "selected", int, path)),
-        skeleton=_matrix(doc, "skeleton", path),
-        coeffs=coeffs,
-        residual_norm=float(_field(doc, "residual_norm", (int, float), path)),
+        selected=selected, skeleton=skeleton, coeffs=coeffs,
+        residual_norm=residual_norm,
     )
     return decomposition, ids

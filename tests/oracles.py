@@ -273,7 +273,7 @@ def id_by_rank_scan(low, tol):
     for cand in range(1 if avail else 0, avail + 1):
         selected, skeleton, coeffs, residual = _assemble(data, perm, r_factor, cand)
         if residual <= tol:
-            return InterpDecomposition(cand, selected, skeleton, coeffs, residual)
+            return InterpDecomposition(selected, skeleton, coeffs, residual)
     raise ToleranceUnreachable(f"no rank up to {avail} meets {tol:g}")
 
 

@@ -18,7 +18,6 @@ from bifidelity.bound import (
     efficacy_study,
     epsilon_estimated,
     minimize_bound,
-    minimize_bound_two_tau,
     tau_grid,
     write_bound_report,
 )
@@ -224,10 +223,13 @@ def test_reduced_pencil_matches_full_eigensolve(seed, dim_h, dim_l, extra, sprea
     low = rng.standard_normal((dim_l, n))
     high = rng.standard_normal((dim_h, n)) * 10.0 ** rng.uniform(-spread, spread)
     pair = GramianPair.from_columns(high, low, n_total=c_mult * n)
+    assert pair.gh.shape == pair.gl.shape == (dim_h + dim_l,) * 2
     taus = np.concatenate(([0.0], 10.0 ** rng.uniform(-6.0, 6.0, 12), [1.0]))
     eps = epsilon_estimated(pair, taus)
-    oracle = eps_full_eigvalsh(pair.gh, pair.gl, pair.c, taus)
-    scale = pair.c * (np.linalg.norm(pair.gh, 2) + taus * np.linalg.norm(pair.gl, 2))
+    # the n x n Gramians come from the columns: the pair holds only the cores
+    gh, gl = high.T @ high, low.T @ low
+    oracle = eps_full_eigvalsh(gh, gl, pair.c, taus)
+    scale = pair.c * (np.linalg.norm(gh, 2) + taus * np.linalg.norm(gl, 2))
     assert np.all(np.abs(eps - oracle) <= 1e-13 * scale)
     assert np.all(eps >= 0.0)  # the n - p zero eigenvalues floor it
 
@@ -354,13 +356,13 @@ def test_minimize_bound_monotone_under_grid_refinement():
     assert fine.best_rho <= coarse.best_rho
 
 
-def scalar_reference(pair, report):
+def scalar_reference(pair, report, sigma, cl_norm, id_residual):
     """eps and rho recomputed one grid point at a time with the scalar
     routines; None from ``rho`` becomes NaN."""
     eps = np.array([epsilon_estimated(pair, t) for t in report.tau_grid])
     rho_grid = np.array([
         [np.nan if v is None else v
-         for v in (rho(k, t, e, report.sigma, report.cl_norm, report.id_residual)
+         for v in (rho(k, t, e, sigma, cl_norm, id_residual)
                    for k in range(1, report.rank + 1))]
         for t, e in zip(report.tau_grid, eps)
     ])
@@ -373,9 +375,11 @@ def test_minimize_bound_matches_per_tau_reference():
     sigma = singular_values(low.data)
     pair = GramianPair.full(high, low)
     single = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
-    two = minimize_bound_two_tau(pair, sigma, dec.coeff_norm(), dec.residual_norm)
+    two = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm,
+                         two_tau=True)
     for rep in (single, two):
-        eps, rho_grid = scalar_reference(pair, rep)
+        eps, rho_grid = scalar_reference(pair, rep, sigma, dec.coeff_norm(),
+                                         dec.residual_norm)
         assert np.array_equal(rep.eps_values, eps)
         assert np.array_equal(rep.rho_values, rho_grid, equal_nan=True)
     # first minimum in (tau, k) scanning order
@@ -455,8 +459,8 @@ def test_two_tau_never_worse_than_single():
         sigma = singular_values(low.data)
         pair = GramianPair.full(high, low)
         one = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm)
-        two = minimize_bound_two_tau(pair, sigma, dec.coeff_norm(),
-                                     dec.residual_norm)
+        two = minimize_bound(pair, sigma, dec.coeff_norm(), dec.residual_norm,
+                             two_tau=True)
         assert two.best_rho <= one.best_rho + 1e-12 * max(1.0, one.best_rho)
         assert two.best_tau2 is not None
         assert two.b1 + two.b2 == two.best_rho
@@ -466,8 +470,8 @@ def test_two_tau_collapses_when_high_equals_low():
     _, low = wide_pair(12)
     dec = build_id(low, rank=min(low.data.shape))
     pair = GramianPair.full(low, low)
-    rep = minimize_bound_two_tau(pair, singular_values(low.data),
-                                 dec.coeff_norm(), dec.residual_norm)
+    rep = minimize_bound(pair, singular_values(low.data), dec.coeff_norm(),
+                         dec.residual_norm, two_tau=True)
     assert rep.best_rho <= 1e-8 * spectral_norm(low.data)
 
 
@@ -477,8 +481,8 @@ def test_two_tau_still_dominates_true_error_with_exact_eps():
         r = int(np.random.default_rng(seed).integers(1, min(low.data.shape)))
         dec, true_err = lifted_error(high, low, r)
         pair = GramianPair.full(high, low)
-        rep = minimize_bound_two_tau(pair, singular_values(low.data),
-                                     dec.coeff_norm(), dec.residual_norm)
+        rep = minimize_bound(pair, singular_values(low.data), dec.coeff_norm(),
+                             dec.residual_norm, two_tau=True)
         assert rep.best_rho >= true_err - 1e-8 * spectral_norm(high.data)
 
 
@@ -823,7 +827,7 @@ def test_from_columns_runs_no_eigensolve(monkeypatch, dim_h, dim_l):
                         lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
     pair = GramianPair.from_columns(hc, lc, n_total=16)
     assert shapes == []
-    # n_sub and c are derived from the Gramians' size
+    # n_sub is the column count, whatever the size of the pencil
     assert type(pair.n_sub) is int and pair.n_sub == 8
     assert np.float64(pair.c).tobytes() == np.float64(2.0).tobytes()
 
@@ -885,7 +889,7 @@ def columns_problem(seed, regime, dim_h, dim_l, layout, cancelling):
     high *= np.sqrt(0.1 * BIG) / np.sqrt(np.linalg.eigvalsh(high.T @ high)[-1])
     pair = GramianPair.from_columns(laid_out(high, layout), laid_out(low, layout),
                                     n_total=c_mult * n)
-    ph, pl = pair._pencil
+    ph, pl = pair.gh, pair.gl
     m_h, m_l = np.max(np.abs(ph)), np.max(np.abs(pl))
     tau_max = (0.5 * BIG - 0.5 * m_h) / m_l
     grid = np.concatenate(([0.0], tau_max * np.sort(10.0 ** -rng.uniform(0, 12, 60)),
@@ -906,11 +910,11 @@ def columns_problem(seed, regime, dim_h, dim_l, layout, cancelling):
 def test_eps_kernel_is_bitwise_the_checked_symmetrising_kernel(
         seed, regime, dim_h, dim_l, layout, cancelling):
     pair, grid, sigma = columns_problem(seed, regime, dim_h, dim_l, layout, cancelling)
-    for g in (pair.gh, pair.gl, *pair._pencil):
+    for g in (pair.gh, pair.gl):
         assert np.array_equal(g, g.T)
         assert not g.flags.writeable
     eps = epsilon_estimated(pair, grid)
-    oracle = eps_lambda_max_symmetric(*pair._pencil, pair.c, pair.n_sub, grid)
+    oracle = eps_lambda_max_symmetric(pair.gh, pair.gl, pair.c, pair.n_sub, grid)
     assert eps.tobytes() == oracle.tobytes()
     assert np.all(np.isfinite(eps))
     assert_best_rho_is_the_sweep_minimum(pair, sigma, 1.0, 0.1, grid)

@@ -400,6 +400,7 @@ BAD_ID_DOCS = {
     "selected-string": _with("selected", "012"),
     "selected-floats": _with("selected", [0.0, 1.0, 2.0]),
     "rank-string": _with("rank", "3"),
+    "rank-mismatch": _with("rank", 2),
     "coeffs-ragged": _with("coeffs", [[1.0, 2.0], [3.0]]),
     "coeffs-flat": _with("coeffs", []),
     "skeleton-text": _with("skeleton", [["a"]]),
@@ -925,6 +926,41 @@ def test_bfsm_lift_holds_one_estimate(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * estimate_bytes, peak / estimate_bytes
+
+
+#: 10**17 float64s (800 PB) exceed any address space, so numpy's allocation
+#: fails under every overcommit policy; 10**30 exceeds numpy's size limit
+HUGE_COUNTS = {
+    "bound-tau-count": ("bound", ["--tau-count"]),
+    "efficacy-tau-count": ("efficacy", ["--tau-count"]),
+    "efficacy-trials": ("efficacy", ["--trials"]),
+    "generate-diffusion-samples": ("generate", ["diffusion", "--samples"]),
+    "generate-beam-samples": ("generate", ["beam", "--samples"]),
+    "generate-beam-grid": ("generate", ["beam", "--grid"]),
+}
+
+
+@pytest.mark.parametrize("count", [10**17, 10**30], ids=["memory", "size-limit"])
+@pytest.mark.parametrize("command,flags", HUGE_COUNTS.values(), ids=HUGE_COUNTS.keys())
+def test_a_count_that_cannot_be_allocated_exits_two(diffusion_files, tmp_path, capsys,
+                                                    command, flags, count):
+    argv = flags + [str(count)]
+    if command == "generate":
+        argv = ["generate"] + argv + ["--out", str(tmp_path / "g")]
+    else:
+        argv = _command(command, diffusion_files) + argv
+    _assert_data_error(capsys, argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_value_error_that_is_no_size_limit_stays_a_fault(diffusion_files, monkeypatch):
+    """LinAlgError is a ValueError too: only numpy's size limit is a data error."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(bifidelity.cli, "build_id", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        cli_main(_command("bound", diffusion_files))
 
 
 def test_lift_of_rank_zero_whose_estimate_cannot_be_allocated_exits_two(tmp_path, capsys):

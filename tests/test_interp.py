@@ -164,7 +164,6 @@ def test_mode_arguments_are_checked_once_with_their_message(kwargs, message):
 def test_decomposition_validates_identity_block():
     with pytest.raises(DimensionMismatch):
         InterpDecomposition(
-            rank=1,
             selected=(0,),
             skeleton=np.ones((3, 1)),
             coeffs=np.array([[0.5, 1.0]]),

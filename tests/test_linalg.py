@@ -162,6 +162,25 @@ def test_pivoted_qr_refuses_a_residual_whose_column_norms_underflow():
         pivoted_qr(a, tol=1.0)
 
 
+def test_tolerance_mode_stops_on_an_underflowing_residual_that_tol_covers():
+    """The same matrix: max|A| < 2^997, so every entry of the 3 x 3 block
+    left after one step is below 2^-537 2^997 and its 2-norm below
+    sqrt(3 * 3) 2^460. A tol at that bound stops at rank 1, whose recomputed
+    residual (about 1.9) meets it; a tol one ulp below, or 0, still raises."""
+    a = np.random.default_rng(0).standard_normal((3, 4))
+    a[1, 2] = 1e300
+    bound = 3.0 * 2.0**460
+    for tol in (bound, 1e299):
+        _, r, perm, rank = pivoted_qr(a, tol=tol)
+        assert rank == 1 and perm[0] == 2 and r.shape == (1, 4)
+    dec = build_id(a, tol=1e299)
+    assert dec.rank == 1 and dec.selected == (2,)
+    assert 1.0 < dec.residual_norm < 3.0
+    for tol in (np.nextafter(bound, 0.0), 0.0):
+        with pytest.raises(NonFiniteInput, match="underflow after 1 steps"):
+            pivoted_qr(a, tol=tol)
+
+
 # --------------------------------------------------------------------------
 # the tolerance decision: column norms, then the Gram side, then the SVD
 # --------------------------------------------------------------------------
