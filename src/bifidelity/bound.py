@@ -111,7 +111,13 @@ def tau_grid(tau_min: float, tau_max: float, count: int, scale: str = "log") -> 
             raise DimensionMismatch("log-scale grid requires tau_min > 0")
         if count == 1:
             return np.array([tau_min])
-        return 10.0 ** np.linspace(np.log10(tau_min), np.log10(tau_max), count)
+        # 10 ** log10(t) need not give t back, and may overflow near the
+        # largest double: the ends are the bounds themselves, and the
+        # clip keeps every point within them
+        with np.errstate(over="ignore"):
+            g = 10.0 ** np.linspace(np.log10(tau_min), np.log10(tau_max), count)
+        g[0], g[-1] = tau_min, tau_max
+        return np.clip(g, tau_min, tau_max, out=g)
     if scale == "linear":
         return np.linspace(tau_min, tau_max, count)
     raise DimensionMismatch(f"unknown grid scale {scale!r}")
@@ -121,10 +127,7 @@ def _validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64).ravel()
     if g.size == 0:
         raise EmptyGrid("tau grid is empty")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteInput("tau grid contains NaN or Inf")
-    if np.any(g < 0.0):
-        raise NegativeTau("tau grid contains negative values")
+    _check_tau(g)
     if np.any(np.diff(g) < 0.0):
         raise DimensionMismatch("tau grid must be sorted ascending")
     return g
@@ -469,8 +472,9 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
     bitwise those of :func:`minimize_bound` on every trial.
 
     Sub-sampling is uniform without replacement from a PRNG seeded with
-    ``seed``. A warning is emitted when rank > n_sub: in that regime the
-    estimate is known to under-shoot. A trial whose every (k, tau)
+    ``seed`` >= 0. Once :func:`build_id` has accepted ``rank``, a warning is
+    emitted when rank > n_sub: in that regime the estimate is known to
+    under-shoot. A trial whose every (k, tau)
     combination is invalid aborts the study with
     :class:`AllCombinationsInvalid` naming the trial: a ratio over the
     remaining trials would hide that the grid missed the feasible set.
@@ -481,6 +485,10 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
         raise DimensionMismatch(f"need 1 <= n <= {n_total}, got {n_sub}")
     if trials < 1:
         raise DimensionMismatch(f"need at least one trial, got {trials}")
+    if seed < 0:
+        raise DimensionMismatch(f"seed must be >= 0, got {seed}")
+
+    decomposition = build_id(low, rank=rank)
     if rank > n_sub:
         warnings.warn(
             f"approximation rank {rank} exceeds sub-sample size {n_sub}; "
@@ -488,8 +496,6 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
             RuntimeWarning,
             stacklevel=2,
         )
-
-    decomposition = build_id(low, rank=rank)
     true_error = _lifting_error(high.data, high.data[:, list(decomposition.selected)],
                                 decomposition.coeffs)
     # ||H||_2 <= ||H||_F, so only a true error near the noise floor of the

@@ -10,14 +10,16 @@ Subcommands wire the pipeline together:
     efficacy   full pair -> table of bound/true-error ratios
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-All diagnostics go to stderr; results and file paths go to stdout. A command
-writes its files before its first stdout line, and a reader that closes
-stdout early ends the run quietly with exit 0.
+All diagnostics go to stderr, one line each, and a warning does not change
+the exit code; results and file paths go to stdout. A command writes its
+files before its first stdout line, and a reader that closes stdout early
+ends the run quietly with exit 0.
 """
 
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -299,6 +301,19 @@ def _cmd_efficacy(args) -> list[str]:
 # entry point
 # --------------------------------------------------------------------------
 
+def _run(args) -> list[str]:
+    """Run the command; each warning it raises is one stderr line, printed
+    before its error or stdout lines, with no path or source line. The
+    warning filters in force decide which warnings are raised, as they
+    would for Python's own printing."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -315,7 +330,7 @@ def cli_main(argv=None) -> int:
     # OSError here is a file's, and one while printing is stdout's; a path
     # holding a lone surrogate cannot be encoded
     try:
-        lines = args.func(args)
+        lines = _run(args)
     except (DataError, OSError, UnicodeEncodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

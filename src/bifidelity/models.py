@@ -1,20 +1,23 @@
 """Built-in parametric model pairs producing aligned snapshot ensembles.
 
-Two desk-scale studies are bundled:
+A model is a map from N input samples to N snapshot columns. The inputs of
+an ensemble are one (N, d) float array, a row per sample, and column i of
+both outputs belongs to row i. Two desk-scale studies are bundled:
 
-* A composite cantilever beam under a uniform load. The low-fidelity model
-  is the classical beam-theory displacement of an equivalent single-material
-  section, which makes every realization a scalar multiple of one shape
-  (a rank-1 ensemble). The high-fidelity side is a *substitute* for a
-  shear-resolving solver: the same displacement plus an analytic
-  shear-compliance correction whose web area is reduced by the five holes.
-  It is deliberately imperfect-but-correlated, not a reference solution.
+* A composite cantilever beam under a uniform load, inputs (q, E1, E2, E3).
+  The low-fidelity model is the classical beam-theory displacement of an
+  equivalent single-material section, which makes every realization a
+  scalar multiple of one shape (a rank-1 ensemble). The high-fidelity side
+  is a *substitute* for a shear-resolving solver: the same displacement
+  plus an analytic shear-compliance correction whose web area is reduced by
+  the five holes. It is deliberately imperfect-but-correlated, not a
+  reference solution.
 
 * A one-dimensional steady diffusion problem -(a u')' = 1 with a smooth
-  log-uniform random coefficient field, solved by second-order finite
-  differences on a coarse (low-fidelity) and a fine (high-fidelity) grid.
-  The QoI is the flux a u' sampled at the grid nodes, so the two fidelities
-  have different output dimensions.
+  log-uniform random coefficient field, inputs (mu1, ..., mud), solved by
+  second-order finite differences on a coarse (low-fidelity) and a fine
+  (high-fidelity) grid. The QoI is the flux a u' sampled at the grid nodes,
+  so the two fidelities have different output dimensions.
 
 Both problems are fixed: the beam's geometry, load and material ranges and
 the diffusion field's amplitude and decay are class constants of the
@@ -32,12 +35,9 @@ from .errors import DimensionMismatch, OutOfBounds, SolverFailure
 from .snapshots import SnapshotMatrix
 
 __all__ = [
-    "ParameterSample",
     "BeamConfig",
     "DiffusionConfig",
     "draw_beam_samples",
-    "beam_lofi",
-    "beam_hifi_substitute",
     "beam_pair",
     "draw_diffusion_samples",
     "diffusion_pair",
@@ -49,21 +49,38 @@ __all__ = [
 SOLVE_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class ParameterSample:
-    """One random-input realization: an opaque id plus the input vector."""
+# no return annotation: np.random.Generator would import numpy.random
+# (about 11 ms) whenever this module is imported, in every cold command
+def _rng(n: int, seed: int):
+    """The generator of a draw of n samples; n and the seed are checked
+    first, so a bad one is a :class:`DimensionMismatch`."""
+    if n < 1:
+        raise DimensionMismatch("need at least one sample")
+    if seed < 0:
+        raise DimensionMismatch(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
-    id: str
-    mu: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.mu, dtype=np.float64)
-        if m.ndim != 1 or m.size == 0:
-            raise DimensionMismatch("mu must be a non-empty 1-D vector")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "mu", m)
-        object.__setattr__(self, "id", str(self.id))
+def _check_inputs(samples, prefix: str, names: tuple[str, ...],
+                  ranges) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``samples`` as an (n, d) float array, with the ids ``prefix-0000``, ...
+    of its rows.
+
+    It needs n >= 1 rows and d = len(names) columns, and each column j
+    inside the closed range ``ranges[j]``; NaN lies outside every range.
+    """
+    mu = np.asarray(samples, dtype=np.float64)
+    if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] != len(names):
+        raise DimensionMismatch(
+            f"expected an (n, {len(names)}) input array with n >= 1, got shape {mu.shape}"
+        )
+    lo, hi = np.array(ranges).T
+    outside = ~((lo <= mu) & (mu <= hi))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise OutOfBounds(f"sample {prefix}-{i:04d}: {names[j]}={mu[i, j]} "
+                          f"outside [{ranges[j][0]}, {ranges[j][1]}]")
+    return mu, tuple(f"{prefix}-{i:04d}" for i in range(mu.shape[0]))
 
 
 # --------------------------------------------------------------------------
@@ -107,106 +124,69 @@ class BeamConfig:
         return self.h3 - holes / self.length
 
 
-def _check_beam_mu(sample: ParameterSample, cfg: BeamConfig):
-    mu = sample.mu
-    if mu.size != 4:
-        raise DimensionMismatch(f"beam inputs are (q, E1, E2, E3), got {mu.size} values")
-    ranges = (cfg.q_range, cfg.e1_range, cfg.e2_range, cfg.e3_range)
-    names = ("q", "E1", "E2", "E3")
-    for name, value, (lo, hi) in zip(names, mu, ranges):
-        if not lo <= value <= hi:
-            raise OutOfBounds(
-                f"sample {sample.id}: {name}={value} outside [{lo}, {hi}]"
-            )
-    return float(mu[0]), float(mu[1]), float(mu[2]), float(mu[3])
-
-
-def _section_inertia(e1: float, e2: float, e3: float, cfg: BeamConfig) -> float:
-    """Second moment of the equivalent single-material cross section.
-
-    Flange widths are scaled by the modulus ratios (w1 = E1/E3 * w,
-    w2 = E2/E3 * w); the moment is taken about the centroid of the
-    three-rectangle stack.
-    """
-    w1 = (e1 / e3) * cfg.width
-    w2 = (e2 / e3) * cfg.width
-    # (width, height, centroid height measured from the section bottom)
-    pieces = (
-        (w2, cfg.h2, 0.5 * cfg.h2),
-        (cfg.width, cfg.h3, cfg.h2 + 0.5 * cfg.h3),
-        (w1, cfg.h1, cfg.h2 + cfg.h3 + 0.5 * cfg.h1),
-    )
-    area = sum(b * h for b, h, _ in pieces)
-    centroid = sum(b * h * y for b, h, y in pieces) / area
-    return sum(
-        b * h**3 / 12.0 + b * h * (y - centroid) ** 2 for b, h, y in pieces
-    )
-
-
 def beam_grid(cfg: BeamConfig) -> np.ndarray:
     """Top-cord output points, uniform over [0, length]."""
     return np.linspace(0.0, cfg.length, cfg.n_grid)
 
 
-def beam_lofi(sample: ParameterSample, cfg: BeamConfig) -> np.ndarray:
-    """Beam-theory vertical displacement of the top cord.
-
-    u(x) = -(q L^4 / 24 E I) ((x/L)^4 - 4 (x/L)^3 + 6 (x/L)^2) with E = E3
-    and I the equivalent-section inertia; every realization is the same
-    shape scaled by q / (E3 I).
-    """
-    q, e1, e2, e3 = _check_beam_mu(sample, cfg)
-    inertia = _section_inertia(e1, e2, e3, cfg)
-    xi = beam_grid(cfg) / cfg.length
-    shape = xi**4 - 4.0 * xi**3 + 6.0 * xi**2
-    return -(q * cfg.length**4 / (24.0 * e3 * inertia)) * shape
-
-
-def beam_hifi_substitute(sample: ParameterSample, cfg: BeamConfig) -> np.ndarray:
-    """Displacement with an added shear-compliance correction.
-
-    The correction integrates the shear strain of a cantilever under a
-    uniform load, q (L x - x^2 / 2) / (kappa G A), with the web shear area
-    reduced by the five holes (smeared over the span) and G derived from E3.
-    This is a stand-in for a shear-resolving solver, not a reference solution.
-    """
-    q, e1, e2, e3 = _check_beam_mu(sample, cfg)
-    del e1, e2
-    u = beam_lofi(sample, cfg)
-    x = beam_grid(cfg)
-    shear_modulus = e3 / (2.0 * (1.0 + cfg.poisson))
-    shear_area = cfg.width * cfg._web_height_effective()
-    correction = (
-        -q * (cfg.length * x - 0.5 * x**2)
-        / (cfg.shear_coefficient * shear_modulus * shear_area)
-    )
-    return u + correction
-
-
-def draw_beam_samples(n: int, seed: int) -> list[ParameterSample]:
-    """n i.i.d. uniform input samples (q, E1, E2, E3), deterministically."""
-    if n < 1:
-        raise DimensionMismatch("need at least one sample")
-    rng = np.random.default_rng(seed)
+def draw_beam_samples(n: int, seed: int) -> np.ndarray:
+    """n i.i.d. uniform input rows (q, E1, E2, E3), deterministically: an
+    (n, 4) array."""
+    rng = _rng(n, seed)
     ranges = (BeamConfig.q_range, BeamConfig.e1_range, BeamConfig.e2_range,
               BeamConfig.e3_range)
-    draws = np.column_stack(
-        [rng.uniform(lo, hi, size=n) for lo, hi in ranges]
-    )
-    return [
-        ParameterSample(id=f"beam-{i:04d}", mu=draws[i]) for i in range(n)
-    ]
+    return np.column_stack([rng.uniform(lo, hi, size=n) for lo, hi in ranges])
 
 
 def beam_pair(
-    samples: list[ParameterSample], cfg: BeamConfig | None = None
+    samples: np.ndarray, cfg: BeamConfig | None = None
 ) -> tuple[SnapshotMatrix, SnapshotMatrix]:
-    """(high, low) snapshot matrices for the same samples, id-aligned."""
+    """(high, low) displacements of the top cord for the (n, 4) input rows
+    (q, E1, E2, E3); column i is sample ``beam-%04d`` % i in both.
+
+    Low fidelity, beam theory: u(x) = -(q L^4 / 24 E I) ((x/L)^4 - 4 (x/L)^3
+    + 6 (x/L)^2) with E = E3 and I the second moment of the equivalent
+    single-material section, whose flange widths are scaled by E1/E3 and
+    E2/E3 and whose moment is taken about the centroid of the
+    three-rectangle stack. Every realization is one shape scaled by
+    q / (E3 I).
+
+    High fidelity, a substitute for a shear-resolving solver: u plus the
+    shear strain of a cantilever under a uniform load integrated along the
+    span, -q (L x - x^2 / 2) / (kappa G A), with G derived from E3 and the
+    web shear area A reduced by the five holes (smeared over the span).
+    Every input must lie inside its range (:class:`OutOfBounds`).
+    """
     cfg = cfg or BeamConfig()
-    ids = tuple(s.id for s in samples)
-    high = np.column_stack([beam_hifi_substitute(s, cfg) for s in samples])
-    low = np.column_stack([beam_lofi(s, cfg) for s in samples])
-    return SnapshotMatrix._adopt(high, ids), SnapshotMatrix._adopt(low, ids)
+    mu, ids = _check_inputs(samples, "beam", ("q", "E1", "E2", "E3"),
+                            (cfg.q_range, cfg.e1_range, cfg.e2_range, cfg.e3_range))
+    q, e1, e2, e3 = mu.T
+    # (width, height, centroid height measured from the section bottom)
+    pieces = (
+        (e2 / e3 * cfg.width, cfg.h2, 0.5 * cfg.h2),
+        (cfg.width, cfg.h3, cfg.h2 + 0.5 * cfg.h3),
+        (e1 / e3 * cfg.width, cfg.h1, cfg.h2 + cfg.h3 + 0.5 * cfg.h1),
+    )
+    area = sum(b * h for b, h, _ in pieces)
+    centroid = sum(b * h * y for b, h, y in pieces) / area
+    # float_power calls libm pow, as Python's float ** 2 does, and so keeps
+    # the bits of the scalar formulas (tests/oracles.py): numpy's ** 2 is a
+    # multiply, and pow differs from it in the last bit on some inputs, such
+    # as 2 of the 3000 samples of seed 1
+    inertia = sum(b * h**3 / 12.0 + b * h * np.float_power(y - centroid, 2.0)
+                  for b, h, y in pieces)
+
+    x = beam_grid(cfg)
+    xi = x / cfg.length
+    shape = xi**4 - 4.0 * xi**3 + 6.0 * xi**2
+    low = np.outer(shape, -(q * cfg.length**4 / (24.0 * e3 * inertia)))
+    shear_modulus = e3 / (2.0 * (1.0 + cfg.poisson))
+    shear_area = cfg.width * cfg._web_height_effective()
+    # (-q s) / (kappa G A), in this order: s times -q / (kappa G A) rounds
+    # differently
+    correction = (np.outer(cfg.length * x - 0.5 * x**2, -q)
+                  / (cfg.shear_coefficient * shear_modulus * shear_area))
+    return SnapshotMatrix._adopt(low + correction, ids), SnapshotMatrix._adopt(low, ids)
 
 
 # --------------------------------------------------------------------------
@@ -241,17 +221,6 @@ class DiffusionConfig:
             raise DimensionMismatch("mesh_low must not exceed mesh_high")
         if self.d_params < 1:
             raise DimensionMismatch("d_params must be >= 1")
-
-
-def _check_diffusion_mu(sample: ParameterSample, cfg: DiffusionConfig) -> np.ndarray:
-    mu = sample.mu
-    if mu.size != cfg.d_params:
-        raise DimensionMismatch(
-            f"sample {sample.id}: expected {cfg.d_params} inputs, got {mu.size}"
-        )
-    if np.any(np.abs(mu) > 1.0):
-        raise OutOfBounds(f"sample {sample.id}: inputs must lie in [-1, 1]")
-    return mu
 
 
 def _coefficients(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -312,27 +281,29 @@ def _solve_flux(weights: np.ndarray, x: np.ndarray, half_basis: np.ndarray,
 
 def draw_diffusion_samples(
     n: int, seed: int, cfg: DiffusionConfig | None = None
-) -> list[ParameterSample]:
-    """n i.i.d. uniform samples on [-1, 1]^d_params, deterministically."""
+) -> np.ndarray:
+    """n i.i.d. uniform samples on [-1, 1]^d_params, deterministically: an
+    (n, d_params) array."""
     cfg = cfg or DiffusionConfig()
-    if n < 1:
-        raise DimensionMismatch("need at least one sample")
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-1.0, 1.0, size=(n, cfg.d_params))
-    return [
-        ParameterSample(id=f"diff-{i:04d}", mu=draws[i]) for i in range(n)
-    ]
+    return _rng(n, seed).uniform(-1.0, 1.0, size=(n, cfg.d_params))
 
 
 def diffusion_pair(
-    samples: list[ParameterSample], cfg: DiffusionConfig | None = None
+    samples: np.ndarray, cfg: DiffusionConfig | None = None
 ) -> tuple[SnapshotMatrix, SnapshotMatrix]:
-    """(high, low) flux snapshot matrices on the fine and coarse grids."""
+    """(high, low) flux snapshot matrices on the fine and coarse grids for
+    the (n, d_params) input rows (mu1, ..., mud), each on [-1, 1]
+    (:class:`OutOfBounds`); column i is sample ``diff-%04d`` % i in both.
+
+    Row mu gives the mode weights c_i mu_i of log a(x) (see
+    :class:`DiffusionConfig`), and :func:`_solve_flux` solves
+    ``SOLVE_BLOCK`` samples at a time on each grid.
+    """
     cfg = cfg or DiffusionConfig()
-    ids = tuple(s.id for s in samples)
     modes = np.arange(1, cfg.d_params + 1)
-    amps = cfg.field_amplitude * cfg.field_decay ** (modes - 1)
-    weights = np.array([amps * _check_diffusion_mu(s, cfg) for s in samples])
+    mu, ids = _check_inputs(samples, "diff", tuple(f"mu{i}" for i in modes),
+                            ((-1.0, 1.0),) * cfg.d_params)
+    weights = cfg.field_amplitude * cfg.field_decay ** (modes - 1) * mu
     fluxes = []
     for n_nodes in (cfg.mesh_high, cfg.mesh_low):
         x = np.linspace(0.0, 1.0, n_nodes)
@@ -340,8 +311,8 @@ def diffusion_pair(
         node_basis = np.sin(np.pi * np.outer(x, modes))
         # column-major, as a BFSM file holds it: a block of samples is one
         # contiguous stretch, and writing the matrix needs no transposed copy
-        flux = np.empty((n_nodes, len(samples)), order="F")
-        for start in range(0, len(samples), SOLVE_BLOCK):
+        flux = np.empty((n_nodes, mu.shape[0]), order="F")
+        for start in range(0, mu.shape[0], SOLVE_BLOCK):
             block = slice(start, start + SOLVE_BLOCK)
             flux[:, block] = _solve_flux(weights[block], x, half_basis, node_basis)
         fluxes.append(SnapshotMatrix._adopt(flux, ids))

@@ -15,7 +15,9 @@ reduction to the p x p pencil, not the eigensolver.
 
 Two more references stand apart: ``diffusion_flux_banded`` is the diffusion
 model's former solve, one scipy banded (LAPACK gtsv) solve per sample, which
-the package's vectorised elimination must match bit for bit; and
+the package's vectorised elimination must match bit for bit, as
+``beam_pair_per_sample`` (the beam model's former scalar code, one input row
+at a time, with Python's float ``** 2``) is for the vectorised beam; and
 ``lifting_oracle_T`` builds the explicit lifting operator from the package's
 SVD and pseudo-inverse, because the tests compare its norms against the
 bound's closed-form caps, not its factorisations.
@@ -52,6 +54,7 @@ from bifidelity.errors import (DimensionMismatch, KOutOfRange, NegativeTau,
                               ToleranceUnreachable)
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
 from bifidelity.linalg import pivoted_qr, pseudo_inverse, singular_values, svd
+from bifidelity.models import beam_grid
 from bifidelity.snapshots import aligned_sample_ids
 
 
@@ -302,6 +305,69 @@ def diffusion_flux_banded(weights, n_nodes):
     du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     return coefficient(x) * du
+
+
+def _section_inertia(e1: float, e2: float, e3: float, cfg) -> float:
+    """Second moment of the equivalent single-material cross section.
+
+    Flange widths are scaled by the modulus ratios (w1 = E1/E3 * w,
+    w2 = E2/E3 * w); the moment is taken about the centroid of the
+    three-rectangle stack.
+    """
+    w1 = (e1 / e3) * cfg.width
+    w2 = (e2 / e3) * cfg.width
+    # (width, height, centroid height measured from the section bottom)
+    pieces = (
+        (w2, cfg.h2, 0.5 * cfg.h2),
+        (cfg.width, cfg.h3, cfg.h2 + 0.5 * cfg.h3),
+        (w1, cfg.h1, cfg.h2 + cfg.h3 + 0.5 * cfg.h1),
+    )
+    area = sum(b * h for b, h, _ in pieces)
+    centroid = sum(b * h * y for b, h, y in pieces) / area
+    return sum(
+        b * h**3 / 12.0 + b * h * (y - centroid) ** 2 for b, h, y in pieces
+    )
+
+
+def beam_lofi(mu, cfg) -> np.ndarray:
+    """Beam-theory vertical displacement of the top cord for one input row.
+
+    u(x) = -(q L^4 / 24 E I) ((x/L)^4 - 4 (x/L)^3 + 6 (x/L)^2) with E = E3
+    and I the equivalent-section inertia; every realization is the same
+    shape scaled by q / (E3 I).
+    """
+    q, e1, e2, e3 = (float(v) for v in mu)
+    inertia = _section_inertia(e1, e2, e3, cfg)
+    xi = beam_grid(cfg) / cfg.length
+    shape = xi**4 - 4.0 * xi**3 + 6.0 * xi**2
+    return -(q * cfg.length**4 / (24.0 * e3 * inertia)) * shape
+
+
+def beam_hifi_substitute(mu, cfg) -> np.ndarray:
+    """Displacement with an added shear-compliance correction.
+
+    The correction integrates the shear strain of a cantilever under a
+    uniform load, q (L x - x^2 / 2) / (kappa G A), with the web shear area
+    reduced by the five holes (smeared over the span) and G derived from E3.
+    """
+    q, e1, e2, e3 = (float(v) for v in mu)
+    del e1, e2
+    u = beam_lofi(mu, cfg)
+    x = beam_grid(cfg)
+    shear_modulus = e3 / (2.0 * (1.0 + cfg.poisson))
+    shear_area = cfg.width * cfg._web_height_effective()
+    correction = (
+        -q * (cfg.length * x - 0.5 * x**2)
+        / (cfg.shear_coefficient * shear_modulus * shear_area)
+    )
+    return u + correction
+
+
+def beam_pair_per_sample(samples, cfg):
+    """(high, low) data of the beam model, one input row at a time."""
+    high = np.column_stack([beam_hifi_substitute(mu, cfg) for mu in samples])
+    low = np.column_stack([beam_lofi(mu, cfg) for mu in samples])
+    return high, low
 
 
 def lifting_oracle_T(high, low, k):

@@ -91,6 +91,34 @@ def test_tau_grid_builders():
         tau_grid(1.0, 2.0, 0, "log")
 
 
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.lists(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                       min_size=2, max_size=2).map(sorted),
+       count=st.integers(2, 300))
+@example(bounds=[1.0, 1.7e308], count=3)
+@example(bounds=[1.0, 1.7976931348623157e308], count=3)
+@example(bounds=[5e-324, 1.7976931348623157e308], count=300)
+def test_log_tau_grid_runs_from_its_bounds_to_its_bounds(bounds, count):
+    """The ends are the bounds themselves, every point lies within them, the
+    grid never decreases, and no overflow warning is raised."""
+    lo, hi = bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = tau_grid(lo, hi, count)
+    assert g.size == count and g[0] == lo and g[-1] == hi
+    assert np.all((lo <= g) & (g <= hi))
+    assert np.all(np.diff(g) >= 0.0)
+
+
+def test_decade_log_grids_keep_their_points():
+    """Where numpy's 10 ** log10 gives both bounds back, as at 1e-300,
+    1e-6, 1e-3 and their reciprocals, the grid is the plain 10 ** linspace:
+    only the ends can move."""
+    for lo, hi in ((1e-300, 1e300), (1e-6, 1e6), (1e-3, 1e3)):
+        assert np.array_equal(tau_grid(lo, hi, 201),
+                              10.0 ** np.linspace(np.log10(lo), np.log10(hi), 201))
+
+
 # --------------------------------------------------------------------------
 # eps
 # --------------------------------------------------------------------------
@@ -1026,4 +1054,7 @@ def test_rho_and_eps_reject_a_bad_tau_with_one_message(tau, shown):
     assert str(info.value) == message
     with pytest.raises(NegativeTau) as info:
         epsilon_estimated(pair, np.array([0.0, tau]))
+    assert str(info.value) == message
+    with pytest.raises(NegativeTau) as info:
+        minimize_bound(pair, sigma, 1.0, 0.0, np.array([0.0, tau]))
     assert str(info.value) == message

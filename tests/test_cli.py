@@ -348,16 +348,48 @@ def beam_files(tmp_path_factory):
 @pytest.mark.parametrize("command", ["bound", "efficacy"])
 def test_overflowing_tau_exits_two_with_one_line(beam_files, capsys, command):
     """tau = 1e308 overflows Gh - tau Gl: one data error naming that tau, and
-    no numpy warning ahead of it."""
-    argv = _command(command, beam_files) + [
-        "--tau-min", "1", "--tau-max", "1e308", "--tau-count", "5"]
+    no numpy warning ahead of it. The log grid up to the largest double ends
+    at that --tau-max itself, which overflows the same way."""
+    for tau_max, shown in (("1e308", "1e+308"),
+                           ("1.7976931348623157e308", "1.7976931348623157e+308")):
+        argv = _command(command, beam_files) + [
+            "--tau-min", "1", "--tau-max", tau_max, "--tau-count", "5"]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr() == (
+            "", f"data error: Gh - tau Gl overflows at tau = {shown}\n")
+
+
+def test_a_warning_is_one_stderr_line(diffusion_files, capsys):
+    """rank > n warns in one line and exits 0; a rank build_id refuses
+    prints only its data error."""
+    argv = _command("efficacy", diffusion_files) + ["--n", "5"]
     capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli_main(argv) == 2
-    assert caught == []
-    assert capsys.readouterr() == (
-        "", "data error: Gh - tau Gl overflows at tau = 1e+308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # Python's own setting for RuntimeWarning
+        assert cli_main(argv + ["--rank", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: approximation rank 10 exceeds sub-sample size 5; "
+                            "the estimate may fall below the true error\n")
+    assert len(captured.out.splitlines()) == 4
+    assert cli_main(argv + ["--rank", "40"]) == 2
+    assert capsys.readouterr() == ("", "data error: rank 40 outside [1, 16]\n")
+
+
+@pytest.mark.parametrize("command", ["generate-beam", "generate-diffusion", "efficacy"])
+def test_a_negative_seed_exits_two_with_one_line(diffusion_files, tmp_path, capsys,
+                                                 command):
+    if command == "efficacy":
+        argv = _command(command, diffusion_files)
+    else:
+        argv = ["generate", command.split("-")[1], "--out", str(tmp_path / "g")]
+    capsys.readouterr()
+    assert cli_main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "data error: seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_eigensolve_exits_three_with_one_line(diffusion_files, capsys,
@@ -628,6 +660,7 @@ def test_overflowing_column_norms_exit_two_without_warnings(tmp_path, capsys):
         warnings.simplefilter("always")
         assert cli_main(["decompose", "--low", str(low), "--rank", "1",
                          "--out-id", str(tmp_path / "one.json")]) == 0
+        assert capsys.readouterr().err == ""
         assert read_id(tmp_path / "one.json")[0].selected == (2,)
         _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "3",
                                     "--out-id", str(tmp_path / "id.json")])

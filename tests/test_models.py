@@ -11,10 +11,6 @@ from bifidelity.models import (
     SOLVE_BLOCK,
     BeamConfig,
     DiffusionConfig,
-    ParameterSample,
-    beam_grid,
-    beam_hifi_substitute,
-    beam_lofi,
     beam_pair,
     diffusion_pair,
     draw_beam_samples,
@@ -22,9 +18,9 @@ from bifidelity.models import (
     _solve_flux,
 )
 
-from oracles import diffusion_flux_banded, section_inertia_quadrature
+from oracles import beam_pair_per_sample, diffusion_flux_banded, section_inertia_quadrature
 
-NOMINAL = ParameterSample(id="nominal", mu=np.array([10.0, 1.0e6, 1.0e6, 1.0e4]))
+NOMINAL = np.array([[10.0, 1.0e6, 1.0e6, 1.0e4]])
 
 
 # --------------------------------------------------------------------------
@@ -32,8 +28,7 @@ NOMINAL = ParameterSample(id="nominal", mu=np.array([10.0, 1.0e6, 1.0e6, 1.0e4])
 # --------------------------------------------------------------------------
 
 def test_beam_lofi_cantilever_root():
-    cfg = BeamConfig()
-    u = beam_lofi(NOMINAL, cfg)
+    u = beam_pair(NOMINAL, BeamConfig())[1].data[:, 0]
     assert u[0] == 0.0
     # zero slope at the root: the quartic starts quadratically
     assert abs(u[1]) <= 2e-4 * abs(u[-1])
@@ -41,18 +36,21 @@ def test_beam_lofi_cantilever_root():
 
 def test_beam_lofi_tip_value_against_quadrature_inertia():
     cfg = BeamConfig()
-    u = beam_lofi(NOMINAL, cfg)
-    q, e1, e2, e3 = NOMINAL.mu
+    u = beam_pair(NOMINAL, cfg)[1].data[:, 0]
+    q, e1, e2, e3 = NOMINAL[0]
     inertia = section_inertia_quadrature(e1, e2, e3, cfg)
     expected_tip = -q * cfg.length**4 / (8.0 * e3 * inertia)
     assert u[-1] == pytest.approx(expected_tip, rel=1e-12)
 
 
 def test_beam_lofi_out_of_bounds():
-    cfg = BeamConfig()
-    bad = ParameterSample(id="bad", mu=np.array([20.0, 1.0e6, 1.0e6, 1.0e4]))
-    with pytest.raises(OutOfBounds):
-        beam_lofi(bad, cfg)
+    bad = np.array([NOMINAL[0], [20.0, 1.0e6, 1.0e6, 1.0e4]])
+    with pytest.raises(OutOfBounds,
+                       match=r"^sample beam-0001: q=20.0 outside \[9.0, 11.0\]$"):
+        beam_pair(bad, BeamConfig())
+    bad[1] = [10.0, np.nan, 1.0e6, 1.0e4]
+    with pytest.raises(OutOfBounds, match=r"^sample beam-0001: E1=nan outside"):
+        beam_pair(bad, BeamConfig())
 
 
 def test_beam_snapshots_are_rank_one():
@@ -68,11 +66,8 @@ def test_beam_snapshots_are_rank_one():
 # --------------------------------------------------------------------------
 
 def test_hifi_tip_magnitude_exceeds_lofi():
-    cfg = BeamConfig()
-    for sample in draw_beam_samples(100, seed=3):
-        assert abs(beam_hifi_substitute(sample, cfg)[-1]) > abs(
-            beam_lofi(sample, cfg)[-1]
-        )
+    high, low = beam_pair(draw_beam_samples(100, seed=3), BeamConfig())
+    assert np.all(np.abs(high.data[-1]) > np.abs(low.data[-1]))
 
 
 def test_rank_one_lift_beats_lofi_on_ensemble():
@@ -97,13 +92,39 @@ def test_beam_pair_deterministic():
     assert h1.sample_ids == h2.sample_ids
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), n_grid=st.integers(2, 200))
+@example(n=3000, seed=1, n_grid=128)
+def test_beam_pair_equals_per_sample_code_bitwise(n, seed, n_grid):
+    """The array code gives the former scalar code's bits; at 3000 samples
+    of seed 1 two columns tell libm pow from numpy's square."""
+    cfg = BeamConfig(n_grid=n_grid)
+    samples = draw_beam_samples(n, seed=seed)
+    high, low = beam_pair(samples, cfg)
+    ref_high, ref_low = beam_pair_per_sample(samples, cfg)
+    assert high.data.tobytes() == ref_high.tobytes()
+    assert low.data.tobytes() == ref_low.tobytes()
+    assert high.sample_ids == low.sample_ids == tuple(f"beam-{i:04d}" for i in range(n))
+
+
+MODELS = {"beam": (beam_pair, BeamConfig()), "diffusion": (diffusion_pair, DiffusionConfig())}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (0, 5), (2, 3), (2, 6), (1, 2, 4)])
+def test_inputs_of_the_wrong_shape_are_a_dimension_mismatch(model, shape):
+    pair, cfg = MODELS[model]
+    with pytest.raises(DimensionMismatch, match="input array with n >= 1"):
+        pair(np.zeros(shape), cfg)
+
+
 # --------------------------------------------------------------------------
 # diffusion pair
 # --------------------------------------------------------------------------
 
 def test_diffusion_constant_coefficient_matches_analytic_flux():
     cfg = DiffusionConfig(mesh_low=16, mesh_high=64)
-    flat = [ParameterSample(id="zero", mu=np.zeros(cfg.d_params))]
+    flat = np.zeros((1, cfg.d_params))
     high, low = diffusion_pair(flat, cfg)
     for snapshot, n in ((low, 16), (high, 64)):
         x = np.linspace(0.0, 1.0, n)
@@ -148,9 +169,10 @@ def test_diffusion_mesh_convergence():
 
 def test_diffusion_out_of_bounds():
     cfg = DiffusionConfig()
-    bad = ParameterSample(id="bad", mu=np.full(cfg.d_params, 1.5))
-    with pytest.raises(OutOfBounds):
-        diffusion_pair([bad], cfg)
+    bad = np.full((1, cfg.d_params), 1.5)
+    with pytest.raises(OutOfBounds,
+                       match=r"^sample diff-0000: mu1=1.5 outside \[-1.0, 1.0\]$"):
+        diffusion_pair(bad, cfg)
 
 
 def test_diffusion_deterministic():
@@ -210,7 +232,7 @@ def test_diffusion_pair_equals_banded_solve_bitwise(meshes, d_params, seed, coun
     cfg = DiffusionConfig(mesh_low=meshes[0], mesh_high=meshes[1], d_params=d_params)
     samples = draw_diffusion_samples(count, seed=seed, cfg=cfg)
     high, low = diffusion_pair(samples, cfg)
-    weights = np.array([AMPS[:d_params] * s.mu for s in samples])
+    weights = AMPS[:d_params] * samples
     for snapshot, n_nodes in ((high, cfg.mesh_high), (low, cfg.mesh_low)):
         assert snapshot.data.tobytes() == _banded_fluxes(weights, n_nodes).tobytes()
         scaled = amplitude * weights
@@ -219,10 +241,14 @@ def test_diffusion_pair_equals_banded_solve_bitwise(meshes, d_params, seed, coun
 
 
 def test_diffusion_nan_input_is_a_solver_failure():
+    """A NaN input is refused before the solve; NaN weights reaching the
+    solve are its failure."""
     cfg = DiffusionConfig()
-    nan = ParameterSample(id="nan", mu=np.full(cfg.d_params, np.nan))
+    nan = np.full((1, cfg.d_params), np.nan)
+    with pytest.raises(OutOfBounds, match="mu1=nan outside"):
+        diffusion_pair(nan, cfg)
     with pytest.raises(SolverFailure, match="matrix holds infs or NaNs"):
-        diffusion_pair([nan], cfg)
+        _mesh_flux(AMPS[:cfg.d_params] * nan, cfg.mesh_high)
 
 
 # The three fields below span far more than 1e16; the solve's own guards
@@ -245,7 +271,7 @@ def test_diffusion_pivot_lost_to_rounding_is_a_solver_failure():
     """A coefficient spanning far more than 1e16 leaves the pivot of a
     coarse-mesh row at zero; that is a failure, not a NaN flux."""
     samples = draw_diffusion_samples(40, seed=2, cfg=DiffusionConfig())
-    weights = np.array([80.0 * AMPS5 * s.mu for s in samples])
+    weights = 80.0 * AMPS5 * samples
     with pytest.raises(SolverFailure, match="pivot is not positive"):
         for n_nodes in (8, 4):
             _mesh_flux(weights, n_nodes)
@@ -256,7 +282,7 @@ def test_diffusion_solve_at_amplitude_10_7_equals_banded_solve_bitwise():
     the elimination sweep still gives the banded solve's bits."""
     amplitude = np.log(1e18) / (2.0 * AMPS5.sum()) * (1 - 1e-9)
     samples = draw_diffusion_samples(SOLVE_BLOCK + 1, seed=3, cfg=DiffusionConfig())
-    weights = np.array([amplitude * AMPS5 * s.mu for s in samples])
+    weights = amplitude * AMPS5 * samples
     for n_nodes in (64, 8):
         assert _mesh_flux(weights, n_nodes).tobytes() == \
             _banded_fluxes(weights, n_nodes).tobytes()
