@@ -22,14 +22,7 @@ from .bound import (
 )
 from .interp import InterpDecomposition, build_id
 from .lifting import BiFidelityModel, evaluate_all, lift, required_samples
-from .linalg import (
-    SingularSpectrum,
-    pivoted_qr,
-    pseudo_inverse,
-    singular_values,
-    spectral_norm,
-    svd,
-)
+from .linalg import pivoted_qr, singular_values, spectral_norm
 from .snapshots import SnapshotMatrix
 
 __version__ = "0.1.0"
@@ -40,7 +33,6 @@ __all__ = [
     "EfficacyResult",
     "GramianPair",
     "InterpDecomposition",
-    "SingularSpectrum",
     "SnapshotMatrix",
     "build_id",
     "default_tau_grid",
@@ -50,11 +42,9 @@ __all__ = [
     "lift",
     "minimize_bound",
     "pivoted_qr",
-    "pseudo_inverse",
     "required_samples",
     "singular_values",
     "spectral_norm",
-    "svd",
     "tau_grid",
     "write_bound_report",
 ]

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .interp import build_id
 from .linalg import (
-    SingularSpectrum,
+    DEFAULT_CUTOFF,
     _as_matrix,
     _gram_norm,
     singular_values,
@@ -267,19 +267,41 @@ def epsilon_estimated(pair: GramianPair, tau):
 # rho and the grid minimization
 # --------------------------------------------------------------------------
 
-def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: SingularSpectrum,
+def _check_sigma(sigma) -> np.ndarray:
+    """``sigma`` as a float64 array: non-empty, 1-D, finite, non-negative and
+    non-increasing, as singular values are."""
+    v = np.asarray(sigma, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise DimensionMismatch("spectrum must be a non-empty 1-D array")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInput("spectrum contains NaN or Inf")
+    if np.any(v < 0.0):
+        raise NonFiniteInput("singular values must be non-negative")
+    if np.any(np.diff(v) > 0.0):
+        raise DimensionMismatch("singular values must be non-increasing")
+    return v
+
+
+def _numerical_rank(sigma: np.ndarray) -> int:
+    """Number of singular values above ``DEFAULT_CUTOFF * sigma_1``."""
+    if sigma[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sigma > DEFAULT_CUTOFF * sigma[0]))
+
+
+def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
                cl_norm: float, id_residual: float, *, floor: bool = False):
     """Vectorized B1/B2 term grids of shape (n_tau, rank); NaN = invalid.
 
     With ``floor`` the radicands are clamped at 0 instead of marking the cell
     invalid: the lower bound of the pruned search (see :func:`_best_rho`).
     """
-    rank = sigma.numerical_rank()
+    rank = _numerical_rank(sigma)
     if rank == 0:
         raise KOutOfRange("rank(L) is zero; no valid k exists")
-    sk = sigma.values[:rank]
+    sk = sigma[:rank]
     # sigma_{k+1} for k = 1..rank, with sigma_{rank+1} := 0 by convention
-    skp1 = np.append(sigma.values[1:rank], 0.0)
+    skp1 = np.append(sigma[1:rank], 0.0)
     rad1 = grid[:, None] * (skp1 * skp1)[None, :] + eps[:, None]
     rad2 = grid[:, None] + eps[:, None] / (sk * sk)[None, :]
     if floor:
@@ -333,7 +355,7 @@ def _argmin_first(values: np.ndarray) -> int:
     return flat
 
 
-def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
+def minimize_bound(pair: GramianPair, sigma, cl_norm: float,
                    id_residual: float, grid=None, *, two_tau: bool = False
                    ) -> BoundReport:
     """Sweep rho_k(tau) over the grid and every k <= rank(L): eps_hat over
@@ -345,7 +367,12 @@ def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     are minimized over tau separately for each k before minimizing over k;
     that feasible set contains every single-tau point, so the result never
     exceeds the single-tau minimum.
+
+    ``sigma`` holds the singular values of L, such as
+    :func:`~bifidelity.linalg.singular_values` returns; it must be a
+    non-empty 1-D array, finite, non-negative and non-increasing.
     """
+    sigma = _check_sigma(sigma)
     g = _validate_grid(default_tau_grid() if grid is None else grid)
     eps = epsilon_estimated(pair, g)
     term1, term2 = _rho_terms(g, eps, sigma, cl_norm, id_residual)
@@ -371,7 +398,7 @@ def minimize_bound(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     )
 
 
-def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
+def _best_rho(pair: GramianPair, sigma: np.ndarray, cl_norm: float,
               id_residual: float, grid: np.ndarray) -> tuple[float, int, int]:
     """``best_rho``, the tau index and ``best_k`` of :func:`minimize_bound` on
     the validated ``grid``, from eps at only the points that can hold the
@@ -401,7 +428,7 @@ def _best_rho(pair: GramianPair, sigma: SingularSpectrum, cl_norm: float,
     todo = np.union1d(np.arange(0, grid.size, PRUNE_STRIDE), [grid.size - 1])
     a, b = todo[:-1], todo[1:]  # the gaps between evaluated points
     eps = np.empty(grid.size)
-    cells = np.full((grid.size, sigma.numerical_rank()), np.nan)
+    cells = np.full((grid.size, _numerical_rank(sigma)), np.nan)
     while todo.size:
         eps[todo] = epsilon_estimated(pair, grid[todo])
         term1, term2 = _rho_terms(grid[todo], eps[todo], sigma, cl_norm, id_residual)
@@ -520,7 +547,9 @@ def efficacy_study(high: SnapshotMatrix, low: SnapshotMatrix, rank: int,
     ratios = np.empty(trials)
     for t in range(trials):
         idx = np.sort(rng.choice(n_total, size=n_sub, replace=False))
-        pair = GramianPair.from_snapshots(high, low, idx)
+        # the ids were aligned above, and the draw is distinct and in range
+        pair = GramianPair.from_columns(high.data[:, idx], low.data[:, idx],
+                                        n_total=n_total)
         try:
             best_rho, _, _ = _best_rho(pair, sigma, cl_norm, id_residual, g)
         except AllCombinationsInvalid as exc:

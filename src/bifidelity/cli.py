@@ -226,11 +226,15 @@ def _cmd_lift(args) -> list[str]:
     decomposition, ids = read_id(args.id_path)
     skeleton = read_snapshots(args.high_skeleton)
     if ids is not None:
-        needed = required_samples(decomposition, ids)
-        if tuple(skeleton.sample_ids) != needed:
+        got, needed = skeleton.sample_ids, required_samples(decomposition, ids)
+        if got != needed:
+            # both lists can run to thousands of ids: name the first difference
+            i = next((j for j, (a, b) in enumerate(zip(got, needed)) if a != b),
+                     min(len(got), len(needed)))
+            at = [repr(s[i]) if i < len(s) else "nothing" for s in (got, needed)]
             raise SampleMismatch(
-                f"high-fidelity skeleton ids {list(skeleton.sample_ids)} do not "
-                f"match the required ids {list(needed)}"
+                f"high-fidelity skeleton has {len(got)} ids where {len(needed)} are "
+                f"required; at position {i} it has {at[0]} where {at[1]} is required"
             )
     estimate = SnapshotMatrix._adopt(
         evaluate_all(lift(decomposition, skeleton.data)),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ToleranceUnreachable
-from .linalg import _as_matrix, pivoted_qr, pseudo_inverse, spectral_norm
+from .errors import DimensionMismatch, NoConvergence, ToleranceUnreachable
+from .linalg import DEFAULT_CUTOFF, _as_matrix, pivoted_qr, spectral_norm
 from .snapshots import SnapshotMatrix
 
 __all__ = ["InterpDecomposition", "build_id"]
@@ -87,10 +87,26 @@ def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(r11, compute_uv=False)
     ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
     if ill:
-        return pseudo_inverse(r11) @ r12
+        return _pseudo_inverse(r11) @ r12
     # R11 is upper triangular with a nonzero diagonal, so partial pivoting swaps
     # nothing, the LU leaves R11 unchanged and the solve is one back-substitution
     return np.linalg.solve(r11, r12)
+
+
+def _pseudo_inverse(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse; singular values <= ``DEFAULT_CUTOFF *
+    sigma_1`` count as zero. V is copied to C order before the product: the
+    layout decides its bits."""
+    try:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    if s[0] == 0.0:
+        return np.zeros((a.shape[1], a.shape[0]))
+    keep = s > DEFAULT_CUTOFF * s[0]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (vh.T.copy() * inv) @ u.T
 
 
 def _assemble(low: np.ndarray, perm: np.ndarray, r_factor: np.ndarray, rank: int):

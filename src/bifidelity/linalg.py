@@ -7,14 +7,12 @@ are plain float64 ``numpy`` arrays; validation rejects NaN/Inf up front.
 The column-pivoted QR is authored here because its pivot policy (greedy
 max-residual-norm, lowest column index on ties) and its tolerance-mode
 stopping rule are part of the package contract; it works at any scale of
-its input. The SVD, the pseudo-inverse and the eigensolve of the
-Gram-side norm delegate to LAPACK via ``numpy.linalg``; independent Jacobi
-implementations live in the test suite as cross-checking oracles. That
+its input. The SVD and the eigensolve of the Gram-side norm delegate to
+LAPACK via ``numpy.linalg``; independent Jacobi implementations live in the
+test suite as cross-checking oracles. That
 eigensolve takes a Gram the kernel summed itself, symmetric by
 construction, so no kernel here symmetrises a given matrix.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +23,7 @@ from .errors import (
     RankExceedsDims,
 )
 
-__all__ = [
-    "SingularSpectrum",
-    "pivoted_qr",
-    "svd",
-    "spectral_norm",
-    "pseudo_inverse",
-]
+__all__ = ["pivoted_qr", "spectral_norm"]
 
 #: Relative cutoff below which singular values are treated as zero.
 DEFAULT_CUTOFF = 1e-12
@@ -55,40 +47,6 @@ def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite, without a temporary the size
     of ``a``: min and max propagate NaN, and an infinity is one of them."""
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Singular values of a matrix, ordered non-increasingly.
-
-    ``values`` has length min(rows, cols) of the source matrix and every
-    entry is non-negative.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise DimensionMismatch("spectrum must be a non-empty 1-D array")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInput("spectrum contains NaN or Inf")
-        if np.any(v < 0.0):
-            raise NonFiniteInput("singular values must be non-negative")
-        if np.any(np.diff(v) > 0.0):
-            raise DimensionMismatch("singular values must be non-increasing")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def numerical_rank(self) -> int:
-        """Number of singular values above ``DEFAULT_CUTOFF * sigma_1``."""
-        if self.values[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(self.values > DEFAULT_CUTOFF * self.values[0]))
 
 
 def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
@@ -246,28 +204,16 @@ def _gram_norm(block, m: int, n: int, e: int, name: str) -> float:
     return float(np.ldexp(np.sqrt(lam), e)) if lam > 0.0 else 0.0
 
 
-def svd(a):
-    """Thin singular value decomposition A = U diag(S) V^T.
-
-    Returns ``(U, S, V)`` with ``S`` a :class:`SingularSpectrum` and U, V
-    having min(rows, cols) orthonormal columns each.
-    """
-    a = _as_matrix(a, "A")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    return u, SingularSpectrum(s), vh.T.copy()
-
-
-def singular_values(a) -> SingularSpectrum:
-    """Singular values only (cheaper than :func:`svd` when U, V are unused)."""
+def singular_values(a) -> np.ndarray:
+    """The singular values of ``a``, non-increasing, as LAPACK returns them:
+    a new read-only 1-D float64 array of length min(rows, cols)."""
     a = _as_matrix(a, "A")
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    return SingularSpectrum(s)
+    s.flags.writeable = False
+    return s
 
 
 def spectral_norm(a) -> float:
@@ -279,19 +225,3 @@ def spectral_norm(a) -> float:
         return float(np.linalg.svd(a, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
-
-
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
-
-    Singular values <= ``DEFAULT_CUTOFF * sigma_1`` are treated as zero.
-    """
-    a = _as_matrix(a, "A")
-    u, s, v = svd(a)
-    vals = s.values
-    if vals[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = vals > DEFAULT_CUTOFF * vals[0]
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    return (v * inv) @ u.T

@@ -67,27 +67,33 @@ def _atomic_write(path, *blocks) -> None:
     never holds part of them.
 
     A symlink is written through. An existing target that is not a regular
-    file (``/dev/null``, a FIFO) is written in place, never replaced.
+    file (``/dev/null``, a FIFO) is written in place, never replaced. An
+    error that names a file names ``path``, not the temporary file.
     """
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "wb") as fh:
-            for block in blocks:
-                fh.write(block)
-        return
-    directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    # 0o666 under the umask: the same mode a plain open() would give
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for block in blocks:
-                fh.write(block)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
+            return
+        directory, name = os.path.split(target)
+        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        # 0o666 under the umask: the same mode a plain open() would give
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _json_bytes(doc) -> bytes:

@@ -6,7 +6,6 @@ positional convention, so misaligned files fail loudly instead of silently.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -63,21 +62,6 @@ class SnapshotMatrix:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-    @classmethod
-    def from_array(cls, data, sample_ids: Sequence[str] | None = None) -> "SnapshotMatrix":
-        """Wrap an array; ids default to positional ``col-000000`` style."""
-        d = np.asarray(data, dtype=np.float64)
-        if sample_ids is None:
-            sample_ids = _positional_ids(d.shape[1] if d.ndim == 2 else 0)
-        return cls(data=d, sample_ids=tuple(sample_ids))
-
-    def columns(self, indices) -> "SnapshotMatrix":
-        """Sub-matrix of the given columns, keeping their ids."""
-        idx = list(indices)
-        # a list index gathers into a new array
-        return SnapshotMatrix._adopt(self.data[:, idx],
-                                     tuple(self.sample_ids[j] for j in idx))
 
 
 def _positional_ids(n: int) -> tuple[str, ...]:

@@ -18,9 +18,9 @@ model's former solve, one scipy banded (LAPACK gtsv) solve per sample, which
 the package's vectorised elimination must match bit for bit, as
 ``beam_pair_per_sample`` (the beam model's former scalar code, one input row
 at a time, with Python's float ``** 2``) is for the vectorised beam; and
-``lifting_oracle_T`` builds the explicit lifting operator from the package's
-SVD and pseudo-inverse, because the tests compare its norms against the
-bound's closed-form caps, not its factorisations.
+``lifting_oracle_T`` builds the explicit lifting operator from numpy's SVD
+and pseudo-inverse, because the tests compare its norms against the bound's
+closed-form caps, not its factorisations.
 
 ``efficacy_full_sweep`` is the efficacy study's former per-trial loop, one
 full ``minimize_bound`` sweep per sub-sample, against which the study's
@@ -31,7 +31,9 @@ the study's own Gram-side kernel, which the accuracy tests hold to the SVD.
 the operations of the package's vectorised kernel in its order, so each
 cell must match the sweep's bit for bit. ``epsilon_exact`` (eps of the full
 ensembles) and ``sigma_k`` (sigma_k of a spectrum, 1-based) are the
-package's former functions, which only tests called.
+package's former functions, which only tests called, as are ``from_array``
+(a snapshot matrix with positional ids) and ``columns`` (some of its
+columns, with their ids), the former ``SnapshotMatrix`` methods.
 
 Finally, ``eps_lambda_max_symmetric`` is the former eps kernel, which sent
 each chunk of pencils through ``lambda_max_symmetric`` (a finiteness scan
@@ -48,14 +50,14 @@ import numpy as np
 import scipy.linalg
 
 from bifidelity.bound import (EPS_CHUNK_BYTES, GramianPair, _lifting_error,
-                             epsilon_estimated, minimize_bound)
+                             _numerical_rank, epsilon_estimated, minimize_bound)
 from bifidelity.errors import (DimensionMismatch, KOutOfRange, NegativeTau,
                               NoConvergence, NonFiniteInput,
                               ToleranceUnreachable)
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
-from bifidelity.linalg import pivoted_qr, pseudo_inverse, singular_values, svd
+from bifidelity.linalg import DEFAULT_CUTOFF, pivoted_qr, singular_values
 from bifidelity.models import beam_grid
-from bifidelity.snapshots import aligned_sample_ids
+from bifidelity.snapshots import SnapshotMatrix, _positional_ids, aligned_sample_ids
 
 
 def jacobi_svd_values(a, tol=1e-14, max_sweeps=60):
@@ -154,6 +156,18 @@ def section_inertia_quadrature(e1, e2, e3, cfg):
     )
 
 
+def from_array(data):
+    """A snapshot matrix of the 2-D ``data`` with ids ``col-000000, ...``."""
+    d = np.asarray(data, dtype=np.float64)
+    return SnapshotMatrix(d, _positional_ids(d.shape[1]))
+
+
+def columns(matrix, indices):
+    """The snapshot matrix of the given columns of ``matrix``, with their ids."""
+    idx = list(indices)
+    return SnapshotMatrix(matrix.data[:, idx], tuple(matrix.sample_ids[j] for j in idx))
+
+
 def rank_by_svd(a, rtol=1e-10):
     """Numerical rank as counted from a full LAPACK SVD."""
     s = np.linalg.svd(a, compute_uv=False)
@@ -188,13 +202,13 @@ def eps_full_eigvalsh(gh, gl, c, tau):
 
 
 def sigma_k(spectrum, k):
-    """sigma_k of a SingularSpectrum with the 1-based indexing convention;
-    0.0 past the end."""
+    """sigma_k of an array of singular values with the 1-based indexing
+    convention; 0.0 past the end."""
     if k < 1:
         raise DimensionMismatch(f"singular value index must be >= 1, got {k}")
-    if k > spectrum.values.size:
+    if k > spectrum.size:
         return 0.0
-    return float(spectrum.values[k - 1])
+    return float(spectrum[k - 1])
 
 
 def epsilon_exact(high, low, tau):
@@ -213,11 +227,11 @@ def rho(k, tau, eps, sigma, cl_norm, id_residual):
     t = float(tau)
     if not (math.isfinite(t) and t >= 0.0):
         raise NegativeTau(f"tau must be finite and >= 0, got {t}")
-    rank = sigma.numerical_rank()
+    rank = _numerical_rank(sigma)
     if not 1 <= k <= rank:
         raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
-    sk = float(sigma.values[k - 1])
-    skp1 = float(sigma.values[k]) if k < rank else 0.0
+    sk = float(sigma[k - 1])
+    skp1 = float(sigma[k]) if k < rank else 0.0
     rad1 = t * (skp1 * skp1) + float(eps)
     rad2 = t + float(eps) / (sk * sk)
     if not (rad1 >= 0.0 and rad2 >= 0.0):
@@ -378,12 +392,12 @@ def lifting_oracle_T(high, low, k):
     closed-form caps.
     """
     aligned_sample_ids(high, low)
-    _, s, v = svd(low.data)
-    rank = s.numerical_rank()
+    _, s, vh = np.linalg.svd(low.data, full_matrices=False)
+    rank = _numerical_rank(s)
     if not 1 <= k <= rank:
         raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
-    vk = v[:, :k]
-    t = high.data @ (vk @ vk.T) @ pseudo_inverse(low.data)
+    vk = vh[:k].T
+    t = high.data @ (vk @ vk.T) @ np.linalg.pinv(low.data, DEFAULT_CUTOFF)
     e = high.data - t @ low.data
     return t, e
 

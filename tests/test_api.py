@@ -17,7 +17,7 @@ MODULES = ["bifidelity", "bifidelity.bound", "bifidelity.linalg", "bifidelity.sn
            "bifidelity.snapshots", "bifidelity.interp", "bifidelity.lifting",
            "bifidelity.models"]
 
-PUBLIC_PARAMETERS = 90
+PUBLIC_PARAMETERS = 84
 
 
 def _parameter_names(name, obj):

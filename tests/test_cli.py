@@ -26,7 +26,7 @@ from bifidelity.linalg import spectral_norm
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import efficacy_full_sweep
+from oracles import columns, efficacy_full_sweep, from_array
 
 
 def run_pipeline(workdir: Path, seed=7) -> dict[str, Path]:
@@ -54,11 +54,11 @@ def run_pipeline(workdir: Path, seed=7) -> dict[str, Path]:
     dec, ids = read_id(paths["id"])
     need = required_samples(dec, ids)
     skeleton_cols = [high.sample_ids.index(s) for s in need]
-    write_snapshots(high.columns(skeleton_cols), paths["skeleton"])
+    write_snapshots(columns(high, skeleton_cols), paths["skeleton"])
 
     sub_idx = np.sort(np.random.default_rng(seed).choice(high.n_samples, 8,
                                                          replace=False))
-    write_snapshots(high.columns(sub_idx), paths["sub"])
+    write_snapshots(columns(high, sub_idx), paths["sub"])
 
     assert cli_main([
         "lift", "--id", str(paths["id"]), "--high-skeleton",
@@ -177,8 +177,7 @@ def test_samples_command_lists_required_ids(tmp_path, capsys):
 
 def test_bound_on_identical_ensembles_reports_tiny_error(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    from bifidelity.snapshots import SnapshotMatrix
-    low = SnapshotMatrix.from_array(rng.standard_normal((6, 12)))
+    low = from_array(rng.standard_normal((6, 12)))
     low_path = tmp_path / "low.bfsm"
     sub_path = tmp_path / "high_sub.bfsm"
     write_snapshots(low, low_path)
@@ -267,7 +266,7 @@ def diffusion_files(tmp_path_factory):
     assert cli_main(["generate", "diffusion", "--samples", "40", "--seed", "3",
                      "--out", str(d / "diff")]) == 0
     high = read_snapshots(d / "diff.high.bfsm")
-    write_snapshots(high.columns(list(range(0, 40, 4))), d / "diff.sub.bfsm")
+    write_snapshots(columns(high, list(range(0, 40, 4))), d / "diff.sub.bfsm")
     return {"high": d / "diff.high.bfsm", "low": d / "diff.low.bfsm",
             "sub": d / "diff.sub.bfsm"}
 
@@ -322,8 +321,7 @@ def test_tau_scale_alone_selects_default_bounds(diffusion_files, tmp_path):
 
 def test_numerical_errors_exit_three(tmp_path, capsys):
     rng = np.random.default_rng(1)
-    from bifidelity.snapshots import SnapshotMatrix
-    low = SnapshotMatrix.from_array(rng.standard_normal((4, 9)))
+    low = from_array(rng.standard_normal((4, 9)))
     low_path = tmp_path / "low.bfsm"
     write_snapshots(low, low_path)
     assert cli_main([
@@ -340,7 +338,7 @@ def beam_files(tmp_path_factory):
     assert cli_main(["generate", "beam", "--samples", "60", "--seed", "1",
                      "--out", str(d / "beam")]) == 0
     high = read_snapshots(d / "beam.high.bfsm")
-    write_snapshots(high.columns(list(range(0, 60, 6))), d / "beam.sub.bfsm")
+    write_snapshots(columns(high, list(range(0, 60, 6))), d / "beam.sub.bfsm")
     return {"high": d / "beam.high.bfsm", "low": d / "beam.low.bfsm",
             "sub": d / "beam.sub.bfsm"}
 
@@ -482,7 +480,7 @@ BAD_SIDECARS = {
 @pytest.mark.parametrize("text", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
 def test_malformed_sidecar_exits_two(tmp_path, capsys, text, fmt):
     low = tmp_path / f"low.{fmt}"
-    write_snapshots(SnapshotMatrix.from_array(np.eye(3)), low, fmt=fmt)
+    write_snapshots(from_array(np.eye(3)), low, fmt=fmt)
     Path(f"{low}.json").write_text(text)
     _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
                                 "--out-id", str(tmp_path / "id.json")])
@@ -491,16 +489,59 @@ def test_malformed_sidecar_exits_two(tmp_path, capsys, text, fmt):
 def test_lift_rejects_misaligned_skeleton(tmp_path):
     paths = run_pipeline(tmp_path)
     high = read_snapshots(paths["high"])
-    wrong = high.columns([0])  # not the required sample
+    wrong = columns(high, [0])  # not the required sample
     dec, ids = read_id(paths["id"])
     if required_samples(dec, ids)[0] == high.sample_ids[0]:
-        wrong = high.columns([1])
+        wrong = columns(high, [1])
     wrong_path = tmp_path / "wrong.bfsm"
     write_snapshots(wrong, wrong_path)
     assert cli_main([
         "lift", "--id", str(paths["id"]), "--high-skeleton", str(wrong_path),
         "--out", str(tmp_path / "out.bfsm"),
     ]) == 2
+
+
+def test_lift_names_the_first_skeleton_id_that_differs(diffusion_files, tmp_path,
+                                                       monkeypatch, capsys):
+    """One short line, however many ids the two lists hold."""
+    monkeypatch.chdir(tmp_path)
+    low = str(diffusion_files["low"])
+    assert cli_main(["decompose", "--low", low, "--rank", "4", "--out-id", "d.json"]) == 0
+    dec, ids = read_id("d.json")
+    need = required_samples(dec, ids)
+    short = columns(read_snapshots(diffusion_files["high"]),
+                    [ids.index(s) for s in need[:2]])
+    write_snapshots(short, "short.bfsm")
+    for skeleton, line in [
+        (low, f"data error: high-fidelity skeleton has 40 ids where 4 are required; "
+              f"at position 0 it has {ids[0]!r} where {need[0]!r} is required"),
+        ("short.bfsm", f"data error: high-fidelity skeleton has 2 ids where 4 are "
+                       f"required; at position 2 it has nothing where {need[2]!r} "
+                       f"is required"),
+    ]:
+        capsys.readouterr()
+        assert cli_main(["lift", "--id", "d.json", "--high-skeleton", skeleton,
+                         "--out", "x.bfsm"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+        assert len(captured.err.encode()) < 200
+    assert not Path("x.bfsm").exists()
+
+
+def test_a_failed_write_names_its_target(diffusion_files, tmp_path, monkeypatch, capsys):
+    """The path as given, not the temporary file or the resolved path, and
+    no temporary file is left behind."""
+    monkeypatch.chdir(tmp_path)
+    Path("sub").mkdir()
+    for out, line in [
+        ("nodir/z.json", "data error: [Errno 2] No such file or directory: 'nodir/z.json'"),
+        ("sub", "data error: [Errno 21] Is a directory: 'sub'"),
+    ]:
+        capsys.readouterr()
+        assert cli_main(["decompose", "--low", str(diffusion_files["low"]),
+                         "--rank", "3", "--out-id", out]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
 def test_help_and_version_exit_zero():
@@ -617,6 +658,7 @@ def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
         from bifidelity.cli import _tau_grid_from_args, build_parser, cli_main
         from bifidelity.lifting import required_samples
         from bifidelity.snapio import read_id, read_snapshots, write_snapshots
+        from bifidelity.snapshots import SnapshotMatrix
 
         def run(*argv):
             assert cli_main(list(argv)) == 0, argv
@@ -630,8 +672,8 @@ def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
         dec, ids = read_id(d + "/r.json")
         high = read_snapshots(f["high"])
         need = required_samples(dec, ids)
-        write_snapshots(high.columns([high.sample_ids.index(s) for s in need]),
-                        d + "/skel.bfsm")
+        cols = [high.sample_ids.index(s) for s in need]
+        write_snapshots(SnapshotMatrix(high.data[:, cols], need), d + "/skel.bfsm")
         run("lift", "--id", d + "/r.json", "--high-skeleton", d + "/skel.bfsm",
             "--out", d + "/est.bfsm")
         run("bound", "--low", f["low"], "--high-sub", f["sub"], "--rank", "4")
@@ -655,7 +697,7 @@ def test_overflowing_column_norms_exit_two_without_warnings(tmp_path, capsys):
     data = np.random.default_rng(0).standard_normal((3, 4))
     data[1, 2] = 1e300
     low = tmp_path / "low.bfsm"
-    write_snapshots(SnapshotMatrix.from_array(data), low)
+    write_snapshots(from_array(data), low)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli_main(["decompose", "--low", str(low), "--rank", "1",
@@ -830,7 +872,7 @@ def test_truncated_file_or_corrupt_header_always_exits_two(snapshot_bytes,
 ], ids=["deep-nesting", "long-integer"])
 def test_sidecar_past_json_limits_exits_two(tmp_path, capsys, text):
     low = tmp_path / "low.bfsm"
-    write_snapshots(SnapshotMatrix.from_array(np.eye(3)), low)
+    write_snapshots(from_array(np.eye(3)), low)
     Path(f"{low}.json").write_text(text)
     _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
                                 "--out-id", str(tmp_path / "id.json")])
@@ -947,7 +989,7 @@ def test_bfsm_lift_holds_one_estimate(tmp_path):
     high, low = diffusion_pair(draw_diffusion_samples(2000, seed=1, cfg=cfg), cfg)
     dec = build_id(low, rank=10)
     write_id(dec, tmp_path / "id.json", sample_ids=low.sample_ids)
-    write_snapshots(high.columns(dec.selected), tmp_path / "skel.bfsm")
+    write_snapshots(columns(high, dec.selected), tmp_path / "skel.bfsm")
     estimate_bytes = high.data.nbytes
     del high, low, dec
     tracemalloc.start()

@@ -15,7 +15,8 @@ from bifidelity.linalg import pivoted_qr, spectral_norm
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import id_by_rank_scan, qr_rank_by_norm, random_matrix_with_spectrum
+from oracles import (from_array, id_by_rank_scan, qr_rank_by_norm,
+                     random_matrix_with_spectrum)
 
 
 def rank_one_beam_like(n_grid=64, n_samples=25, seed=0):
@@ -137,7 +138,7 @@ def test_ill_conditioned_leading_block_uses_min_norm_solution():
 
 def test_build_id_accepts_snapshot_matrix():
     rng = np.random.default_rng(41)
-    snap = SnapshotMatrix.from_array(rng.standard_normal((6, 10)))
+    snap = from_array(rng.standard_normal((6, 10)))
     dec = build_id(snap, rank=2)
     assert dec.n_samples == 10
 

@@ -12,14 +12,13 @@ from bifidelity.errors import (
     NonFiniteInput,
     RankExceedsDims,
 )
+from bifidelity.bound import GramianPair, _numerical_rank, minimize_bound
+from bifidelity.interp import _pseudo_inverse as pseudo_inverse
 from bifidelity.linalg import (
-    SingularSpectrum,
     _within_tol,
     pivoted_qr,
-    pseudo_inverse,
     singular_values,
     spectral_norm,
-    svd,
 )
 
 from bifidelity.interp import build_id
@@ -282,34 +281,24 @@ def test_within_tol_accumulates_the_gram_in_blocks():
 # --------------------------------------------------------------------------
 
 def test_svd_diagonal():
-    _, s, _ = svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(s.values, [3.0, 2.0, 1.0])
+    s = singular_values(np.diag([3.0, 2.0, 1.0]))
+    assert np.allclose(s, [3.0, 2.0, 1.0])
 
 
 def test_svd_rank_one_outer_product():
     u = np.array([2.0, 0.0, 0.0])
     v = np.array([0.0, 3.0])
-    _, s, _ = svd(np.outer(u, v))
-    assert abs(s.values[0] - 6.0) <= 1e-12
-    assert np.all(s.values[1:] <= 1e-12)
+    s = singular_values(np.outer(u, v))
+    assert abs(s[0] - 6.0) <= 1e-12
+    assert np.all(s[1:] <= 1e-12)
 
 
 def test_svd_matches_jacobi_oracle():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((6, 6))
-    _, s, _ = svd(a)
+    s = singular_values(a)
     oracle = jacobi_svd_values(a)
-    assert np.max(np.abs(s.values - oracle)) <= 1e-10 * oracle[0]
-
-
-def test_svd_reconstruction_and_orthogonality():
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal((9, 5))
-    u, s, v = svd(a)
-    sigma1 = s.values[0]
-    assert np.linalg.norm(a - (u * s.values) @ v.T, 2) <= 1e-12 * 9 * sigma1
-    assert np.max(np.abs(u.T @ u - np.eye(5))) <= 1e-12
-    assert np.max(np.abs(v.T @ v - np.eye(5))) <= 1e-12
+    assert np.max(np.abs(s - oracle)) <= 1e-10 * oracle[0]
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +376,7 @@ def test_spectral_norm_diagonal():
 def test_spectral_norm_equals_top_singular_value():
     rng = np.random.default_rng(37)
     a = rng.standard_normal((5, 7))
-    _, s, _ = svd(a)
-    assert spectral_norm(a) == pytest.approx(s.values[0], rel=1e-10)
+    assert spectral_norm(a) == pytest.approx(singular_values(a)[0], rel=1e-10)
 
 
 def test_lambda_max_of_gramian_is_squared_norm():
@@ -427,36 +415,53 @@ def test_pseudo_inverse_penrose_residuals():
 
 
 # --------------------------------------------------------------------------
-# SingularSpectrum type
+# singular values as minimize_bound takes them
 # --------------------------------------------------------------------------
 
 def test_spectrum_validation():
-    with pytest.raises(Exception):
-        SingularSpectrum(np.array([1.0, 2.0]))  # increasing
-    with pytest.raises(Exception):
-        SingularSpectrum(np.array([1.0, -0.5]))  # negative
+    """``minimize_bound`` checks a given spectrum once, at entry."""
+    pair = GramianPair.from_columns(np.eye(2), np.eye(2), n_total=2)
+    for sigma, error, message in [
+        ([[2.0, 1.0]], DimensionMismatch, "spectrum must be a non-empty 1-D array"),
+        ([], DimensionMismatch, "spectrum must be a non-empty 1-D array"),
+        ([2.0, np.nan], NonFiniteInput, "spectrum contains NaN or Inf"),
+        ([np.inf, 1.0], NonFiniteInput, "spectrum contains NaN or Inf"),
+        ([1.0, -0.5], NonFiniteInput, "singular values must be non-negative"),
+        ([1.0, 2.0], DimensionMismatch, "singular values must be non-increasing"),
+    ]:
+        with pytest.raises(error) as caught:
+            minimize_bound(pair, np.array(sigma), 1.0, 0.0)
+        assert str(caught.value) == message
+    # a list is a spectrum as well
+    assert minimize_bound(pair, [2.0, 1.0], 1.0, 0.0).rank == 2
 
 
 def test_spectrum_accessors():
-    s = SingularSpectrum(np.array([4.0, 2.0, 1e-20]))
+    s = np.array([4.0, 2.0, 1e-20])
     assert sigma_k(s, 1) == 4.0
     assert sigma_k(s, 4) == 0.0
-    assert s.numerical_rank() == 2
-    assert len(s) == 3
+    assert _numerical_rank(s) == 2
+    assert _numerical_rank(np.zeros(3)) == 0
 
 
 def test_singular_values_helper_matches_svd():
+    """LAPACK's own array, read-only and not copied."""
     rng = np.random.default_rng(53)
     a = rng.standard_normal((7, 4))
-    full = svd(a)[1].values
-    quick = singular_values(a).values
+    full = np.linalg.svd(a, full_matrices=False)[1]
+    quick = singular_values(a)
     assert np.max(np.abs(full - quick)) <= 1e-13 * full[0]
+    assert np.array_equal(quick, np.linalg.svd(a, compute_uv=False))
+    assert quick.dtype == np.float64 and quick.shape == (4,)
+    assert not quick.flags.writeable and quick.flags.owndata
+    with pytest.raises(ValueError):
+        quick[0] = 1.0
 
 
 def test_kernels_deterministic():
     rng = np.random.default_rng(59)
     a = rng.standard_normal((12, 9))
-    assert np.array_equal(svd(a)[1].values, svd(a)[1].values)
+    assert np.array_equal(singular_values(a), singular_values(a))
     assert spectral_norm(a) == spectral_norm(a)
     sym = a[:9] + a[:9].T
     assert lambda_max_symmetric(sym) == lambda_max_symmetric(sym)

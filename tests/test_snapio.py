@@ -30,6 +30,8 @@ from bifidelity.snapio import (
 )
 from bifidelity.snapshots import SnapshotMatrix
 
+from oracles import columns, from_array
+
 
 def sample_matrix(seed=0, dim=7, n=11):
     rng = np.random.default_rng(seed)
@@ -187,7 +189,7 @@ def test_format_sniffing(tmp_path):
 
 def test_id_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    low = SnapshotMatrix.from_array(rng.standard_normal((6, 10)))
+    low = from_array(rng.standard_normal((6, 10)))
     dec = build_id(low, rank=3)
     path = tmp_path / "dec.json"
     write_id(dec, path, sample_ids=low.sample_ids)
@@ -298,8 +300,8 @@ def test_zero_column_binary_round_trip(tmp_path):
 
 def _tiny_report():
     rng = np.random.default_rng(3)
-    high = SnapshotMatrix.from_array(rng.standard_normal((4, 6)))
-    low = SnapshotMatrix.from_array(rng.standard_normal((3, 6)))
+    high = from_array(rng.standard_normal((4, 6)))
+    low = from_array(rng.standard_normal((3, 6)))
     dec = build_id(low, rank=2)
     return minimize_bound(GramianPair.full(high, low), singular_values(low.data),
                           dec.coeff_norm(), dec.residual_norm)
@@ -415,7 +417,7 @@ def test_no_caller_side_write_reaches_a_snapshot_matrix(data):
         if write is not None:
             write()
         assert m.data.tobytes() == before
-        sub = m.columns([0])
+        sub = columns(m, [0])
         assert not sub.data.flags.writeable
         assert not np.shares_memory(sub.data, m.data)
 
