@@ -86,18 +86,19 @@ EPS_CHUNK_BYTES = 256 * 1024
 # --------------------------------------------------------------------------
 
 def default_tau_grid() -> np.ndarray:
-    """Logarithmic grid over [1e-6, 1e6] (201 points) plus tau = 0.
+    """tau = 0 followed by :func:`tau_grid` at its defaults: 201 logarithmic
+    points over [1e-6, 1e6].
 
-    The midpoint is snapped to exactly 1.0 so that the degenerate H == L
+    The midpoint, index 101, is exactly 1.0, so that the degenerate H == L
     case collapses on the grid.
     """
-    taus = 10.0 ** np.linspace(-6.0, 6.0, 201)
-    taus[100] = 1.0
-    return np.concatenate(([0.0], taus))
+    return np.concatenate(([0.0], tau_grid()))
 
 
-def tau_grid(tau_min: float, tau_max: float, count: int, scale: str = "log") -> np.ndarray:
-    """Build a tau grid from CLI-style parameters."""
+def tau_grid(tau_min: float = 1e-6, tau_max: float = 1e6, count: int = 201,
+             scale: str = "log") -> np.ndarray:
+    """Build a tau grid from CLI-style parameters; each omitted one takes
+    its default."""
     if count < 1:
         raise EmptyGrid(f"grid count must be >= 1, got {count}")
     if not (np.isfinite(tau_min) and np.isfinite(tau_max)) or tau_min > tau_max:

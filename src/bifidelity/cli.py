@@ -17,6 +17,7 @@ ends the run quietly with exit 0.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import warnings
@@ -80,16 +81,11 @@ def _add_tau_flags(p):
 
 def _tau_grid_from_args(args):
     """The default grid when no tau flag is given; otherwise ``tau_grid``
-    with each omitted flag at its documented default."""
-    given = (args.tau_min, args.tau_max, args.tau_count, args.tau_scale)
-    if all(value is None for value in given):
-        return default_tau_grid()
-    return tau_grid(
-        1e-6 if args.tau_min is None else args.tau_min,
-        1e6 if args.tau_max is None else args.tau_max,
-        201 if args.tau_count is None else args.tau_count,
-        args.tau_scale or "log",
-    )
+    with each omitted flag at its default."""
+    flags = {"tau_min": args.tau_min, "tau_max": args.tau_max,
+             "count": args.tau_count, "scale": args.tau_scale}
+    given = {name: value for name, value in flags.items() if value is not None}
+    return tau_grid(**given) if given else default_tau_grid()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path prefix (default: model name)")
     p.add_argument("--format", choices=("bfsm", "csv"), default="bfsm")
-    p.add_argument("--grid", type=int, default=128, help="beam output points")
-    p.add_argument("--mesh-low", type=int, default=16)
-    p.add_argument("--mesh-high", type=int, default=256)
-    p.add_argument("--d-params", type=int, default=5)
+    p.add_argument("--grid", type=int, default=BeamConfig.n_grid, help="beam output points")
+    p.add_argument("--mesh-low", type=int, default=DiffusionConfig.mesh_low)
+    p.add_argument("--mesh-high", type=int, default=DiffusionConfig.mesh_high)
+    p.add_argument("--d-params", type=int, default=DiffusionConfig.d_params)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("decompose", help="build the interpolative decomposition")
@@ -162,21 +158,15 @@ def _cmd_generate(args) -> list[str]:
         cfg = BeamConfig(n_grid=args.grid)
         samples = draw_beam_samples(args.samples, seed=args.seed)
         high, low = beam_pair(samples, cfg)
-        config_doc = {"n_grid": cfg.n_grid}
     else:
         cfg = DiffusionConfig(
             mesh_low=args.mesh_low, mesh_high=args.mesh_high, d_params=args.d_params
         )
         samples = draw_diffusion_samples(args.samples, seed=args.seed, cfg=cfg)
         high, low = diffusion_pair(samples, cfg)
-        config_doc = {
-            "mesh_low": cfg.mesh_low,
-            "mesh_high": cfg.mesh_high,
-            "d_params": cfg.d_params,
-        }
-    suffix = "bfsm" if args.format == "bfsm" else "csv"
-    high_path = f"{prefix}.high.{suffix}"
-    low_path = f"{prefix}.low.{suffix}"
+    config_doc = dataclasses.asdict(cfg)
+    high_path = f"{prefix}.high.{args.format}"
+    low_path = f"{prefix}.low.{args.format}"
     provenance = {
         "model": args.model,
         "seed": args.seed,

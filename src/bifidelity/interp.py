@@ -7,8 +7,9 @@ identity block on the selected columns:
     L  ~=  L(:, selected) @ C,      C[:, selected] = I.
 
 Column selection is greedy max-residual-norm QR pivoting; the coefficient
-block Z solves R11 Z = R12 from the pivoted QR factors, falling back to the
-minimum-Frobenius-norm least-squares solution when R11 is ill-conditioned.
+block Z solves R11 Z = R12 from the pivoted QR factors. One SVD of R11
+gives its condition number; when that exceeds ``ILL_CONDITION_LIMIT`` the
+same SVD gives the minimum-Frobenius-norm least-squares solution instead.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .snapshots import SnapshotMatrix
 
 __all__ = ["InterpDecomposition", "build_id"]
 
-#: Condition estimate of R11 above which the minimum-norm solve is used.
+#: Condition number of R11 above which the minimum-norm solve is used.
 ILL_CONDITION_LIMIT = 1e8
 
 
@@ -80,33 +81,29 @@ class InterpDecomposition:
 
 
 def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
-    """Solve R11 Z = R12; minimum-Frobenius-norm solution if ill-conditioned."""
+    """Solve R11 Z = R12; minimum-Frobenius-norm solution if ill-conditioned.
+
+    One SVD of R11 gives its condition, and on the ill-conditioned path the
+    pseudo-inverse, in which singular values <= ``DEFAULT_CUTOFF * sigma_1``
+    count as zero. R11's diagonal holds the nonzero pivot norms, so
+    sigma_1 > 0.
+    """
     r = r11.shape[0]
     if r == 0 or r12.shape[1] == 0:
         return np.zeros((r, r12.shape[1]))
-    s = np.linalg.svd(r11, compute_uv=False)
-    ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
-    if ill:
-        return _pseudo_inverse(r11) @ r12
+    try:
+        u, s, vh = np.linalg.svd(r11, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    if s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT:
+        keep = s > DEFAULT_CUTOFF * s[0]
+        inv = np.zeros_like(s)
+        inv[keep] = 1.0 / s[keep]
+        # V is copied to C order before the product: the layout decides its bits
+        return ((vh.T.copy() * inv) @ u.T) @ r12
     # R11 is upper triangular with a nonzero diagonal, so partial pivoting swaps
     # nothing, the LU leaves R11 unchanged and the solve is one back-substitution
     return np.linalg.solve(r11, r12)
-
-
-def _pseudo_inverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; singular values <= ``DEFAULT_CUTOFF *
-    sigma_1`` count as zero. V is copied to C order before the product: the
-    layout decides its bits."""
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    if s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > DEFAULT_CUTOFF * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vh.T.copy() * inv) @ u.T
 
 
 def _assemble(low: np.ndarray, perm: np.ndarray, r_factor: np.ndarray, rank: int):
@@ -118,14 +115,11 @@ def _assemble(low: np.ndarray, perm: np.ndarray, r_factor: np.ndarray, rank: int
     coeffs[np.arange(rank), list(selected)] = 1.0
     coeffs[:, perm[rank:]] = z
     skeleton = low[:, list(selected)]
-    if rank == n:
-        # all columns selected: coeffs is an exact permuted identity
-        residual = 0.0
-    else:
-        # low - skeleton @ coeffs in the buffer of the product: one
-        # temporary of the size of low, whatever its layout
-        product = skeleton @ coeffs
-        residual = spectral_norm(np.subtract(low, product, out=product))
+    # low - skeleton @ coeffs in the buffer of the product: one temporary of
+    # the size of low, whatever its layout; with every column selected coeffs
+    # is an exact permuted identity and the residual exactly zero
+    product = skeleton @ coeffs
+    residual = spectral_norm(np.subtract(low, product, out=product))
     return selected, skeleton, coeffs, residual
 
 

@@ -168,7 +168,7 @@ def _within_tol(trailing: np.ndarray, norms: np.ndarray, tol: float) -> bool:
                    "the trailing block")
     if abs(g - tol) > band * tol:
         return bool(g < tol)
-    return bool(np.linalg.norm(trailing, 2) <= tol)
+    return bool(_svd_values(trailing)[0] <= tol)
 
 
 def _gram_norm(block, m: int, n: int, e: int, name: str) -> float:
@@ -204,14 +204,19 @@ def _gram_norm(block, m: int, n: int, e: int, name: str) -> float:
     return float(np.ldexp(np.sqrt(lam), e)) if lam > 0.0 else 0.0
 
 
+def _svd_values(a: np.ndarray) -> np.ndarray:
+    """LAPACK's singular values of the 2-D array ``a``, non-increasing; a
+    failed SVD is :class:`NoConvergence`."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+
+
 def singular_values(a) -> np.ndarray:
     """The singular values of ``a``, non-increasing, as LAPACK returns them:
     a new read-only 1-D float64 array of length min(rows, cols)."""
-    a = _as_matrix(a, "A")
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    s = _svd_values(_as_matrix(a, "A"))
     s.flags.writeable = False
     return s
 
@@ -219,9 +224,4 @@ def singular_values(a) -> np.ndarray:
 def spectral_norm(a) -> float:
     """Largest singular value sigma_1(A) = sqrt(lambda_max(A^T A))."""
     a = _as_matrix(a, "A")
-    if not a.any():
-        return 0.0
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    return float(_svd_values(a)[0]) if a.any() else 0.0

@@ -318,8 +318,8 @@ def write_id(decomposition: InterpDecomposition, path,
         "sample_ids": ids,
         "required_sample_ids": None if ids is None
         else [ids[j] for j in decomposition.selected],
-        "skeleton": [list(map(float, row)) for row in decomposition.skeleton],
-        "coeffs": [list(map(float, row)) for row in decomposition.coeffs],
+        "skeleton": decomposition.skeleton.tolist(),
+        "coeffs": decomposition.coeffs.tolist(),
     }
     _atomic_write(path, _json_bytes(doc))
 

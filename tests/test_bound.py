@@ -22,6 +22,7 @@ from bifidelity.bound import (
     tau_grid,
     write_bound_report,
 )
+from bifidelity.cli import _tau_grid_from_args, build_parser
 from bifidelity.errors import (
     AllCombinationsInvalid,
     DegenerateError,
@@ -80,8 +81,19 @@ def test_default_grid_shape():
     g = default_tau_grid()
     assert g[0] == 0.0
     assert g.size == 202
-    assert 1.0 in g
+    assert g[101] == 1.0
     assert np.all(np.diff(g) > 0)
+    assert g.tobytes() == np.concatenate(([0.0], tau_grid())).tobytes()
+    # the CLI's flags: each given alone is that one keyword of tau_grid
+    parser = build_parser()
+    base = ["bound", "--low", "l", "--high-sub", "h", "--rank", "1"]
+    for flags, keyword in [(["--tau-min", "1e-3"], {"tau_min": 1e-3}),
+                           (["--tau-max", "50"], {"tau_max": 50.0}),
+                           (["--tau-count", "7"], {"count": 7}),
+                           (["--tau-scale", "linear"], {"scale": "linear"})]:
+        got = _tau_grid_from_args(parser.parse_args(base + flags))
+        assert got.tobytes() == tau_grid(**keyword).tobytes(), flags
+    assert _tau_grid_from_args(parser.parse_args(base)).tobytes() == g.tobytes()
 
 
 def test_tau_grid_builders():

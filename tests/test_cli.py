@@ -404,6 +404,39 @@ def test_failed_eigensolve_exits_three_with_one_line(diffusion_files, capsys,
         "numerical failure: symmetric eigensolve failed: Eigenvalues did not converge"]
 
 
+@pytest.mark.parametrize("svd", ["of R11", "of the trailing block in the band"])
+def test_failed_svd_exits_three_with_one_line(tmp_path, capsys, monkeypatch, svd):
+    """A failed SVD of R11, or of the QR's trailing block when the Gram side
+    reads exactly tol, ends decompose with exit 3 and one line."""
+    data = np.random.default_rng(3).uniform(-0.9, 0.9, (16, 40))
+    low_path = tmp_path / "low.bfsm"
+    write_snapshots(from_array(data), low_path)
+    calls = []
+
+    def fail(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    if svd == "of R11":
+        mode, expected = ["--rank", "3"], [(3, 3)]
+    else:
+        # max|L| < 1, so the QR steps run on L itself and meet tol unscaled;
+        # tol lies between the largest column norm and their 2-norm
+        tol = 1.5 * float(np.linalg.norm(data, axis=0).max())
+        monkeypatch.setattr(bifidelity.linalg, "_gram_norm", lambda *args: tol)
+        mode, expected = ["--tol", repr(tol)], [data.shape]
+    capsys.readouterr()
+    assert cli_main(["decompose", "--low", str(low_path), *mode,
+                     "--out-id", str(tmp_path / "id.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: SVD did not converge: SVD did not converge"]
+    assert calls == expected
+    assert not (tmp_path / "id.json").exists()
+
+
 @pytest.fixture(scope="module")
 def id_file(diffusion_files, tmp_path_factory):
     """A valid decomposition file of the small diffusion pair."""

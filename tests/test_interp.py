@@ -16,7 +16,7 @@ from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_sa
 from bifidelity.snapshots import SnapshotMatrix
 
 from oracles import (from_array, id_by_rank_scan, qr_rank_by_norm,
-                     random_matrix_with_spectrum)
+                     random_matrix_with_spectrum, solve_coefficient_block)
 
 
 def rank_one_beam_like(n_grid=64, n_samples=25, seed=0):
@@ -346,6 +346,31 @@ def test_coefficient_block_equals_triangular_solve_bitwise(factors):
     assert z.tobytes() == scipy.linalg.solve_triangular(r11, r12).tobytes()
 
 
+@st.composite
+def triangular_factors(draw):
+    """An upper-triangular R11 of size 1 to 29 whose condition number is
+    10^0 to 10^14, or which is exactly singular with trailing zero rows, and
+    an R12 of 1 to 40 columns."""
+    r = draw(st.integers(1, 29))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = 10.0 ** draw(st.floats(0.0, 14.0))
+    r11 = np.linalg.qr(random_matrix_with_spectrum(
+        rng, r, r, cond ** -np.linspace(0.0, 1.0, r)))[1]
+    if r > 1 and draw(st.booleans()):
+        r11[draw(st.integers(1, r - 1)):] = 0.0
+    return r11, rng.standard_normal((r, draw(st.integers(1, 40))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangular_factors())
+def test_coefficient_block_equals_the_two_svd_reference_bytewise(factors):
+    """One SVD of R11 decides the path and gives the minimum-norm solve, as
+    the former condition SVD and pseudo-inverse SVD did."""
+    r11, r12 = factors
+    z = interp._solve_coefficient_block(r11, r12)
+    assert z.tobytes() == solve_coefficient_block(r11, r12).tobytes()
+
+
 @pytest.mark.parametrize("mesh,rank", [(16, 10), (256, 22), (256, 23)])
 def test_coefficient_solve_bitwise_on_benchmark_shapes(mesh, rank):
     """16 x 2000 and 256 x 2000 diffusion ensembles; at ranks 22 and 23 R11
@@ -355,8 +380,10 @@ def test_coefficient_solve_bitwise_on_benchmark_shapes(mesh, rank):
     r11, r12 = _leading_factors(low.data, rank)
     expected = scipy.linalg.solve_triangular(r11, r12)
     assert np.linalg.solve(r11, r12).tobytes() == expected.tobytes()
+    z = interp._solve_coefficient_block(r11, r12)
+    assert z.tobytes() == solve_coefficient_block(r11, r12).tobytes()
     if _condition(r11) <= ILL_CONDITION_LIMIT:
-        assert interp._solve_coefficient_block(r11, r12).tobytes() == expected.tobytes()
+        assert z.tobytes() == expected.tobytes()
 
 
 def test_one_column_coefficient_block_agrees_to_rounding():

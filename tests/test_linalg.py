@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from bifidelity.errors import (
     RankExceedsDims,
 )
 from bifidelity.bound import GramianPair, _numerical_rank, minimize_bound
-from bifidelity.interp import _pseudo_inverse as pseudo_inverse
+from bifidelity.interp import ILL_CONDITION_LIMIT, _solve_coefficient_block
 from bifidelity.linalg import (
     _within_tol,
     pivoted_qr,
@@ -29,6 +31,7 @@ from oracles import (
     jacobi_eigvalsh,
     jacobi_svd_values,
     lambda_max_symmetric,
+    pseudo_inverse,
     qr_rank_by_norm,
     random_matrix_with_spectrum,
     rank_by_svd,
@@ -389,15 +392,18 @@ def test_lambda_max_of_gramian_is_squared_norm():
 
 
 # --------------------------------------------------------------------------
-# pseudo-inverse
+# pseudo-inverse: the coefficient solve's ill-conditioned path, where
+# R12 = I gives the pseudo-inverse itself
 # --------------------------------------------------------------------------
 
 def test_pseudo_inverse_diagonal_with_zero():
-    p = pseudo_inverse(np.diag([2.0, 0.0]))
+    p = _solve_coefficient_block(np.diag([2.0, 0.0]), np.eye(2))
     assert np.allclose(p, np.diag([0.5, 0.0]))
 
 
 def test_pseudo_inverse_orthogonal():
+    """The reference pseudo-inverse the solve is held to; the package never
+    inverts a well-conditioned R11 this way."""
     rng = np.random.default_rng(43)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     assert np.max(np.abs(pseudo_inverse(q) - q.T)) <= 1e-12
@@ -406,7 +412,8 @@ def test_pseudo_inverse_orthogonal():
 def test_pseudo_inverse_penrose_residuals():
     rng = np.random.default_rng(47)
     a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
-    p = pseudo_inverse(a)
+    assert np.linalg.cond(a) > ILL_CONDITION_LIMIT  # the pseudo-inverse path
+    p = _solve_coefficient_block(a, np.eye(4))
     scale = np.linalg.norm(p, 2)
     assert np.linalg.norm(a @ p @ a - a, 2) <= 1e-9 * scale
     assert np.linalg.norm(p @ a @ p - p, 2) <= 1e-9 * scale
@@ -465,4 +472,53 @@ def test_kernels_deterministic():
     assert spectral_norm(a) == spectral_norm(a)
     sym = a[:9] + a[:9].T
     assert lambda_max_symmetric(sym) == lambda_max_symmetric(sym)
-    assert np.array_equal(pseudo_inverse(a), pseudo_inverse(a))
+    r11 = np.triu(a[:9])
+    r11[-1, -1] = 0.0  # singular: the pseudo-inverse path
+    assert np.array_equal(_solve_coefficient_block(r11, a[:9]),
+                          _solve_coefficient_block(r11, a[:9]))
+
+
+# --------------------------------------------------------------------------
+# every LAPACK failure is NoConvergence
+# --------------------------------------------------------------------------
+
+def _is_lapack_call(node) -> bool:
+    """An ``np.linalg.svd`` or ``np.linalg.eigvalsh`` call, or an
+    ``np.linalg.norm(x, 2)``, which takes an SVD."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = ast.unparse(node.func)
+    if name in ("np.linalg.svd", "np.linalg.eigvalsh"):
+        return True
+    ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+    return name == "np.linalg.norm" and any(ast.unparse(o) == "2" for o in ords)
+
+
+def _maps_to_no_convergence(handler) -> bool:
+    return (handler.type is not None
+            and ast.unparse(handler.type) == "np.linalg.LinAlgError"
+            and any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                    and ast.unparse(n.exc.func) == "NoConvergence"
+                    for n in ast.walk(handler)))
+
+
+def test_every_lapack_call_maps_its_failure_to_no_convergence():
+    """Each SVD or eigensolve in the package sits in the body of a ``try``
+    whose ``LinAlgError`` handler raises :class:`NoConvergence`, so a failed
+    one is exit 3 on the CLI, not a traceback. The count pins the kernels:
+    the SVD in ``linalg``, the SVD of R11, ``_gram_norm``'s eigensolve and
+    ``epsilon_estimated``'s."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for call in filter(_is_lapack_call, ast.walk(tree)):
+            found.append(f"{path.name}:{call.lineno}")
+            node, guarded = call, False
+            while node in parent and not guarded:
+                node, child = parent[node], node
+                guarded = (isinstance(node, ast.Try) and child in node.body
+                           and any(map(_maps_to_no_convergence, node.handlers)))
+            assert guarded, found[-1]
+    assert len(found) == 4, found
