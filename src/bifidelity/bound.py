@@ -98,26 +98,27 @@ def default_tau_grid() -> np.ndarray:
 def tau_grid(tau_min: float = 1e-6, tau_max: float = 1e6, count: int = 201,
              scale: str = "log") -> np.ndarray:
     """Build a tau grid from CLI-style parameters; each omitted one takes
-    its default."""
+    its default.
+
+    The bounds must each be finite and >= 0 (:class:`NegativeTau`, as for
+    every tau), and ordered; a log grid needs ``tau_min`` > 0. A log grid
+    starts and ends at the bounds themselves.
+    """
     if count < 1:
         raise EmptyGrid(f"grid count must be >= 1, got {count}")
-    if not (np.isfinite(tau_min) and np.isfinite(tau_max)) or tau_min > tau_max:
-        raise DimensionMismatch(
-            f"grid bounds must be finite and ordered, got [{tau_min}, {tau_max}]"
-        )
-    if tau_min < 0.0:
-        raise NegativeTau(f"tau grid bounds must be >= 0, got {tau_min}")
+    _check_tau((tau_min, tau_max))
+    if tau_min > tau_max:
+        raise DimensionMismatch(f"grid bounds must be ordered, got [{tau_min}, {tau_max}]")
     if scale == "log":
         if tau_min <= 0.0:
             raise DimensionMismatch("log-scale grid requires tau_min > 0")
-        if count == 1:
-            return np.array([tau_min])
         # 10 ** log10(t) need not give t back, and may overflow near the
-        # largest double: the ends are the bounds themselves, and the
-        # clip keeps every point within them
+        # largest double: the ends are the bounds themselves (tau_min last,
+        # so a one-point grid is [tau_min]), and the clip keeps every point
+        # within them
         with np.errstate(over="ignore"):
             g = 10.0 ** np.linspace(np.log10(tau_min), np.log10(tau_max), count)
-        g[0], g[-1] = tau_min, tau_max
+        g[-1], g[0] = tau_max, tau_min
         return np.clip(g, tau_min, tau_max, out=g)
     if scale == "linear":
         return np.linspace(tau_min, tau_max, count)
@@ -309,10 +310,8 @@ def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
         rad1 = np.maximum(rad1, 0.0)
         rad2 = np.maximum(rad2, 0.0)
     valid = (rad1 >= 0.0) & (rad2 >= 0.0)
-    term1 = np.full(rad1.shape, np.nan)
-    term2 = np.full(rad2.shape, np.nan)
-    term1[valid] = (1.0 + cl_norm) * np.sqrt(rad1[valid])
-    term2[valid] = id_residual * np.sqrt(rad2[valid])
+    term1 = np.where(valid, (1.0 + cl_norm) * np.sqrt(np.where(valid, rad1, 0.0)), np.nan)
+    term2 = np.where(valid, id_residual * np.sqrt(np.where(valid, rad2, 0.0)), np.nan)
     return term1, term2
 
 

@@ -240,9 +240,7 @@ def _cmd_bound(args) -> list[str]:
     low = read_snapshots(args.low)
     high_sub = read_snapshots(args.high_sub)
 
-    positions = {}
-    for pos, sid in enumerate(low.sample_ids):
-        positions[sid] = pos
+    positions = {sid: pos for pos, sid in enumerate(low.sample_ids)}
     try:
         idx = [positions[sid] for sid in high_sub.sample_ids]
     except KeyError as exc:

@@ -86,7 +86,11 @@ def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     One SVD of R11 gives its condition, and on the ill-conditioned path the
     pseudo-inverse, in which singular values <= ``DEFAULT_CUTOFF * sigma_1``
     count as zero. R11's diagonal holds the nonzero pivot norms, so
-    sigma_1 > 0.
+    sigma_1 > 0. The condition test multiplies rather than divides: a
+    singular R11 can give a sigma_r that is 0 or subnormal, and
+    sigma_1 / sigma_r would overflow. The product is a Python float, which
+    is inf without a warning past the float range, where R11 is well
+    conditioned.
     """
     r = r11.shape[0]
     if r == 0 or r12.shape[1] == 0:
@@ -95,7 +99,7 @@ def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
         u, s, vh = np.linalg.svd(r11, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    if s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT:
+    if not s[0] <= ILL_CONDITION_LIMIT * float(s[-1]):
         keep = s > DEFAULT_CUTOFF * s[0]
         inv = np.zeros_like(s)
         inv[keep] = 1.0 / s[keep]

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .interp import InterpDecomposition
 from .linalg import _as_matrix
+from .snapshots import _sample_ids
 
 __all__ = [
     "BiFidelityModel",
@@ -46,22 +47,17 @@ class BiFidelityModel:
         skel.flags.writeable = False
         object.__setattr__(self, "high_skeleton", skel)
 
-    @property
-    def rank(self) -> int:
-        return self.decomposition.rank
-
 
 def required_samples(
     decomposition: InterpDecomposition, sample_ids: Sequence[str]
 ) -> tuple[str, ...]:
     """Sample identifiers whose high-fidelity runs the lift needs,
-    in skeleton column order."""
-    ids = tuple(str(s) for s in sample_ids)
-    if len(ids) != decomposition.n_samples:
-        raise DimensionMismatch(
-            f"{len(ids)} sample ids for a decomposition over "
-            f"{decomposition.n_samples} columns"
-        )
+    in skeleton column order.
+
+    ``sample_ids`` are the ids of the decomposition's columns: n distinct
+    strings for its n columns, or :class:`DimensionMismatch`.
+    """
+    ids = _sample_ids(sample_ids, decomposition.n_samples)
     return tuple(ids[j] for j in decomposition.selected)
 
 

@@ -32,6 +32,7 @@ import io
 import json
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .interp import InterpDecomposition
 from .linalg import _all_finite
-from .snapshots import SnapshotMatrix, _positional_ids
+from .snapshots import SnapshotMatrix, _positional_ids, _sample_ids
 
 __all__ = [
     "read_snapshots",
@@ -144,12 +145,17 @@ def _list_of(doc: dict, key: str, kind, path) -> list:
 
 
 def _matrix(doc: dict, key: str, path) -> np.ndarray:
-    """``doc[key]`` as a float64 array; :class:`MalformedFile` if not numeric."""
+    """``doc[key]`` as a float64 array; :class:`MalformedFile` if not numeric
+    or not finite."""
     rows = _field(doc, key, list, path)
     try:
-        return np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        matrix = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer past the float range
         raise MalformedFile(f"{path}: {key!r} is not a numeric matrix") from exc
+    if not _all_finite(matrix):
+        raise MalformedFile(f"{path}: {key!r} holds NaN or Inf")
+    return matrix
 
 
 def _read_sidecar(path):
@@ -191,15 +197,13 @@ def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
         # the transpose of column-major data is C-contiguous: the file takes
         # its buffer as is, with no bytes copy; only row-major data is copied
         _atomic_write(path, header, np.asfortranarray(matrix.data).T)
-        _write_sidecar(path, matrix.sample_ids, provenance)
-        return
-    if fmt == "csv":
+    elif fmt == "csv":
         lines = [_csv_header(matrix.sample_ids)]
         lines.extend(",".join(repr(float(v)) for v in row) for row in matrix.data)
         _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-        _write_sidecar(path, matrix.sample_ids, provenance)
-        return
-    raise DimensionMismatch(f"unknown snapshot format {fmt!r}")
+    else:
+        raise DimensionMismatch(f"unknown snapshot format {fmt!r}")
+    _write_sidecar(path, matrix.sample_ids, provenance)
 
 
 def _read_binary(raw: bytes, path) -> SnapshotMatrix:
@@ -296,14 +300,11 @@ def write_id(decomposition: InterpDecomposition, path,
              sample_ids=None) -> None:
     """Persist a decomposition as JSON.
 
-    ``sample_ids`` are the column ids of the source ensemble; they let the
-    file name its required high-fidelity samples.
+    ``sample_ids`` are the column ids of the source ensemble, n distinct
+    strings for its n columns (else :class:`DimensionMismatch`); they let
+    the file name its required high-fidelity samples.
     """
-    ids = None if sample_ids is None else [str(s) for s in sample_ids]
-    if ids is not None and len(ids) != decomposition.n_samples:
-        raise DimensionMismatch(
-            f"{len(ids)} sample ids for {decomposition.n_samples} columns"
-        )
+    ids = None if sample_ids is None else _sample_ids(sample_ids, decomposition.n_samples)
     if ids is None and decomposition.rank == 0:
         raise DimensionMismatch(
             "a rank-0 decomposition needs sample ids: its empty coeffs do not "
@@ -325,7 +326,13 @@ def write_id(decomposition: InterpDecomposition, path,
 
 
 def read_id(path):
-    """Load a decomposition file; returns (decomposition, sample_ids)."""
+    """Load a decomposition file; returns (decomposition, sample_ids).
+
+    The file must hold what :func:`write_id` writes: finite matrices, a
+    finite residual norm >= 0, and, if it carries ``sample_ids``, n
+    distinct ids for n columns. A refusal of its contents is a
+    :class:`DataError` naming ``path``.
+    """
     doc = _load_json(path)
     if doc.get("format") != ID_FORMAT:
         raise BadMagic(f"{path}: not a {ID_FORMAT} file")
@@ -335,7 +342,7 @@ def read_id(path):
     coeffs = _matrix(doc, "coeffs", path)
     ids = None
     if doc.get("sample_ids") is not None:
-        ids = tuple(_list_of(doc, "sample_ids", str, path))
+        ids = _list_of(doc, "sample_ids", str, path)
     if rank == 0 and coeffs.size == 0:
         # a rank-0 coeffs matrix is written as [], which loses its width
         if ids is None:
@@ -343,11 +350,18 @@ def read_id(path):
         coeffs = np.zeros((0, len(ids)))
     selected = tuple(_list_of(doc, "selected", int, path))
     skeleton = _matrix(doc, "skeleton", path)
-    residual_norm = float(_field(doc, "residual_norm", (int, float), path))
+    residual_norm = _field(doc, "residual_norm", (int, float), path)
+    # NaN fails the comparison; an integer past the float range exceeds max
+    if not 0.0 <= residual_norm <= sys.float_info.max:
+        raise MalformedFile(f"{path}: 'residual_norm' must be finite and >= 0")
     if rank != len(selected):
-        raise DimensionMismatch("rank must equal the number of selected columns")
-    decomposition = InterpDecomposition(
-        selected=selected, skeleton=skeleton, coeffs=coeffs,
-        residual_norm=residual_norm,
-    )
+        raise MalformedFile(f"{path}: rank must equal the number of selected columns")
+    try:
+        decomposition = InterpDecomposition(
+            selected=selected, skeleton=skeleton, coeffs=coeffs,
+            residual_norm=residual_norm,
+        )
+        ids = None if ids is None else _sample_ids(ids, decomposition.n_samples)
+    except DimensionMismatch as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
     return decomposition, ids

@@ -42,13 +42,7 @@ class SnapshotMatrix:
     def _settle(self, adopt: bool) -> None:
         # no columns is legal: the high-fidelity skeleton of a rank-0 rule
         d = _as_matrix(self.data, "snapshot data", allow_no_columns=True)
-        ids = tuple(str(s) for s in self.sample_ids)
-        if len(ids) != d.shape[1]:
-            raise DimensionMismatch(
-                f"{len(ids)} sample ids for {d.shape[1]} columns"
-            )
-        if len(set(ids)) != len(ids):
-            raise DimensionMismatch("sample ids must be distinct")
+        ids = _sample_ids(self.sample_ids, d.shape[1])
         if not adopt:
             d = d.copy()
         d.flags.writeable = False
@@ -62,6 +56,17 @@ class SnapshotMatrix:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
+
+
+def _sample_ids(sample_ids, n: int) -> tuple[str, ...]:
+    """``sample_ids`` as a tuple of str; :class:`DimensionMismatch` unless
+    they are n distinct ids."""
+    ids = tuple(str(s) for s in sample_ids)
+    if len(ids) != n:
+        raise DimensionMismatch(f"{len(ids)} sample ids for {n} columns")
+    if len(set(ids)) != n:
+        raise DimensionMismatch("sample ids must be distinct")
+    return ids
 
 
 def _positional_ids(n: int) -> tuple[str, ...]:

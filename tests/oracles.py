@@ -480,7 +480,9 @@ def solve_coefficient_block(r11, r12):
     if r == 0 or r12.shape[1] == 0:
         return np.zeros((r, r12.shape[1]))
     s = np.linalg.svd(r11, compute_uv=False)
-    ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
+    # a singular R11 can give a subnormal sigma_r, and the ratio overflows
+    with np.errstate(over="ignore"):
+        ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
     if ill:
         return pseudo_inverse(r11) @ r12
     return np.linalg.solve(r11, r12)

@@ -1,14 +1,18 @@
-"""The public surface: its settable values, counted, and the README's
-library quick start, run.
+"""The public surface: its settable values, counted, the size of the
+package source, counted, and the README's library quick start, run.
 
 Every parameter of a public callable is a value a caller can set, and each
 one must be tested and documented. The count below makes a new keyword, a
 new dataclass field or a new public method's parameter a deliberate edit of
-this file; removing one lowers the expected total.
+this file; removing one lowers the expected total. The code-line count does
+the same for growing the source.
 """
 
+import ast
 import importlib
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
@@ -18,6 +22,11 @@ MODULES = ["bifidelity", "bifidelity.bound", "bifidelity.linalg", "bifidelity.sn
            "bifidelity.models"]
 
 PUBLIC_PARAMETERS = 84
+
+#: Code lines of ``src/bifidelity/*.py``, counted by :func:`code_lines`.
+SRC_CODE_LINES = 1389
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bifidelity"
 
 
 def _parameter_names(name, obj):
@@ -52,6 +61,35 @@ def test_public_parameter_count_is_pinned():
     params = public_parameters()
     assert len(params) == len(set(params))
     assert len(params) == PUBLIC_PARAMETERS, params
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text):
+    """The physical lines of ``text`` that a token other than a comment, a
+    line end, an indent, a dedent or the end marker touches, outside the
+    docstring of the module and of every class and function."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    touched = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            touched.update(range(tok.start[0], tok.end[0] + 1))
+    return len(touched - docstrings)
+
+
+def test_code_line_count_is_pinned():
+    assert code_lines('"""doc"""\n\n# note\ndef f():\n    """doc\n    """\n'
+                      '    return (1,\n            2)  # two lines\n') == 3
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) == 10
+    assert sum(code_lines(f.read_text("utf-8")) for f in files) == SRC_CODE_LINES
 
 
 

@@ -108,18 +108,21 @@ def test_tau_grid_builders():
 @settings(max_examples=300, deadline=None)
 @given(bounds=st.lists(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
                        min_size=2, max_size=2).map(sorted),
-       count=st.integers(2, 300))
+       count=st.integers(1, 300))
 @example(bounds=[1.0, 1.7e308], count=3)
 @example(bounds=[1.0, 1.7976931348623157e308], count=3)
 @example(bounds=[5e-324, 1.7976931348623157e308], count=300)
+@example(bounds=[0.3, 0.3], count=1)  # 10 ** log10(0.3) is not 0.3
+@example(bounds=[0.3, 1.7976931348623157e308], count=1)
 def test_log_tau_grid_runs_from_its_bounds_to_its_bounds(bounds, count):
-    """The ends are the bounds themselves, every point lies within them, the
-    grid never decreases, and no overflow warning is raised."""
+    """The ends are the bounds themselves (a one-point grid is [tau_min]),
+    every point lies within them, the grid never decreases, and no overflow
+    warning is raised."""
     lo, hi = bounds
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = tau_grid(lo, hi, count)
-    assert g.size == count and g[0] == lo and g[-1] == hi
+    assert g.size == count and g[0] == lo and g[-1] == (hi if count > 1 else lo)
     assert np.all((lo <= g) & (g <= hi))
     assert np.all(np.diff(g) >= 0.0)
 
@@ -1081,4 +1084,7 @@ def test_rho_and_eps_reject_a_bad_tau_with_one_message(tau, shown):
     assert str(info.value) == message
     with pytest.raises(NegativeTau) as info:
         minimize_bound(pair, sigma, 1.0, 0.0, np.array([0.0, tau]))
+    assert str(info.value) == message
+    with pytest.raises(NegativeTau) as info:
+        tau_grid(tau_max=tau)
     assert str(info.value) == message

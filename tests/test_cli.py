@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -303,6 +304,7 @@ def _assert_data_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+    return lines[0]
 
 
 @pytest.mark.parametrize("command,flags", BAD_FLAGS)
@@ -390,6 +392,51 @@ def test_a_negative_seed_exits_two_with_one_line(diffusion_files, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+GENERATE_SIZES = {
+    "samples-zero": (["beam", "--samples", "0"], "need at least one sample"),
+    "grid-one": (["beam", "--grid", "1"], "n_grid must be at least 2"),
+    "mesh-low-two": (["diffusion", "--mesh-low", "2"], "meshes need at least 3 nodes"),
+}
+
+
+@pytest.mark.parametrize("flags,message", GENERATE_SIZES.values(),
+                         ids=GENERATE_SIZES.keys())
+def test_a_generate_size_out_of_range_exits_two_with_one_line(tmp_path, capsys, flags,
+                                                              message):
+    capsys.readouterr()
+    assert cli_main(["generate", *flags, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr() == ("", f"data error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sub_sampled_id_missing_from_low_exits_two(diffusion_files, tmp_path, capsys):
+    high = read_snapshots(diffusion_files["high"])
+    sub = tmp_path / "sub.bfsm"
+    write_snapshots(SnapshotMatrix(high.data[:, :2], ["diff-0000", "elsewhere"]), sub)
+    argv = _command("bound", diffusion_files)
+    argv[argv.index("--high-sub") + 1] = str(sub)
+    line = _assert_data_error(capsys, argv)
+    assert line == ("data error: sub-sampled column id 'elsewhere' not present in "
+                    f"{diffusion_files['low']}")
+
+
+def test_efficacy_on_ensembles_of_other_sizes_exits_two(diffusion_files, capsys):
+    argv = _command("efficacy", diffusion_files)
+    argv[argv.index("--high") + 1] = str(diffusion_files["sub"])
+    line = _assert_data_error(capsys, argv)
+    assert line == "data error: sample counts differ: 10 vs 40"
+
+
+def test_bound_on_an_all_zero_low_ensemble_exits_two(tmp_path, capsys):
+    ids = [f"s{j}" for j in range(6)]
+    low, sub = tmp_path / "low.bfsm", tmp_path / "sub.bfsm"
+    write_snapshots(SnapshotMatrix(np.zeros((3, 6)), ids), low)
+    write_snapshots(SnapshotMatrix(np.ones((4, 2)), ids[:2]), sub)
+    line = _assert_data_error(capsys, ["bound", "--low", str(low), "--high-sub", str(sub),
+                                       "--rank", "1"])
+    assert line == "data error: rank(L) is zero; no valid k exists"
+
+
 def test_failed_eigensolve_exits_three_with_one_line(diffusion_files, capsys,
                                                       monkeypatch):
     def fail(*args, **kwargs):
@@ -454,6 +501,11 @@ def _with(key, value):
     return lambda doc: dict(doc, **{key: value})
 
 
+def _with_entry(key, value):
+    """Entry [0][0] of the matrix ``key`` set to ``value``."""
+    return lambda doc: dict(doc, **{key: [[value] + doc[key][0][1:]] + doc[key][1:]})
+
+
 BAD_ID_DOCS = {
     "missing-rank": _without("rank"),
     "missing-coeffs": _without("coeffs"),
@@ -471,6 +523,17 @@ BAD_ID_DOCS = {
     "ids-string": _with("sample_ids", "abc"),
     "ids-numbers": _with("sample_ids", [1, 2, 3]),
     "not-an-object": lambda doc: [doc],
+    "version-2": _with("version", 2),
+    "coeffs-nan": _with_entry("coeffs", float("nan")),
+    "coeffs-past-float": _with_entry("coeffs", 10**400),
+    "skeleton-inf": _with_entry("skeleton", float("inf")),
+    "residual-nan": _with("residual_norm", float("nan")),
+    "residual-negative": _with("residual_norm", -1.0),
+    "residual-past-float": _with("residual_norm", 10**400),
+    "ids-null": _with("sample_ids", None),  # samples needs them
+    "ids-repeated": lambda doc: dict(doc, sample_ids=doc["sample_ids"][1:2]
+                                     + doc["sample_ids"][1:]),
+    "ids-one-short": lambda doc: dict(doc, sample_ids=doc["sample_ids"][:-1]),
 }
 
 
@@ -478,7 +541,7 @@ BAD_ID_DOCS = {
 def test_malformed_id_file_exits_two(id_file, tmp_path, capsys, mutate):
     bad = tmp_path / "bad.id.json"
     bad.write_text(json.dumps(mutate(json.loads(id_file.read_text()))))
-    _assert_data_error(capsys, ["samples", "--id", str(bad)])
+    assert str(bad) in _assert_data_error(capsys, ["samples", "--id", str(bad)])
 
 
 @pytest.mark.parametrize("text", ["{not json", "", "\xff\xfe"], ids=["brace", "empty", "bytes"])
@@ -506,17 +569,35 @@ BAD_SIDECARS = {
     "ids-string": '{"sample_ids": "abc"}',
     "ids-numbers": '{"sample_ids": [1, 2]}',
     "not-an-object": '["a", "b"]',
+    "ids-one-short": '{"sample_ids": ["a", "b"]}',
+    "ids-repeated": '{"sample_ids": ["a", "b", "a"]}',
+}
+# the BFSM reader's lines for the sidecars that parse (a CSV file's header
+# disagrees with them)
+BFSM_SIDECAR_LINES = {
+    "ids-one-short": "data error: {low}: sidecar lists 2 ids for 3 columns",
+    "ids-repeated": "data error: sample ids must be distinct",
 }
 
 
 @pytest.mark.parametrize("fmt", ["bfsm", "csv"])
-@pytest.mark.parametrize("text", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
-def test_malformed_sidecar_exits_two(tmp_path, capsys, text, fmt):
+@pytest.mark.parametrize("name", BAD_SIDECARS)
+def test_malformed_sidecar_exits_two(tmp_path, capsys, name, fmt):
     low = tmp_path / f"low.{fmt}"
     write_snapshots(from_array(np.eye(3)), low, fmt=fmt)
-    Path(f"{low}.json").write_text(text)
-    _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
-                                "--out-id", str(tmp_path / "id.json")])
+    Path(f"{low}.json").write_text(BAD_SIDECARS[name])
+    line = _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+                                       "--out-id", str(tmp_path / "id.json")])
+    if fmt == "bfsm" and name in BFSM_SIDECAR_LINES:
+        assert line == BFSM_SIDECAR_LINES[name].format(low=low)
+
+
+def test_a_csv_cell_past_the_field_limit_exits_two(tmp_path, capsys):
+    low = tmp_path / "low.csv"
+    low.write_text("a\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+    line = _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+                                       "--out-id", str(tmp_path / "id.json")])
+    assert line == f"data error: {low}: neither BFSM binary nor parseable CSV"
 
 
 def test_lift_rejects_misaligned_skeleton(tmp_path):

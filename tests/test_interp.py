@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bifidelity.interp as interp
@@ -361,8 +361,27 @@ def triangular_factors(draw):
     return r11, rng.standard_normal((r, draw(st.integers(1, 40))))
 
 
+def _singular_r11():
+    """A 26 x 26 upper-triangular R11 with four zero trailing rows whose full
+    SVD gives a subnormal sigma_r (1.5e-322 with numpy's bundled OpenBLAS),
+    not 0: sigma_1 / sigma_r overflows."""
+    rng = np.random.default_rng(0)
+    r11 = np.linalg.qr(np.linalg.qr(rng.standard_normal((26, 26)))[0])[1]
+    r11[22:] = 0.0
+    return r11
+
+
+def test_singular_coefficient_block_takes_the_minimum_norm_path_quietly():
+    """The condition test of a singular R11 raises no overflow warning (the
+    suite turns warnings into errors) and picks the minimum-norm solve."""
+    r11, r12 = _singular_r11(), np.ones((26, 1))
+    z = interp._solve_coefficient_block(r11, r12)
+    assert z.tobytes() == solve_coefficient_block(r11, r12).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(triangular_factors())
+@example((_singular_r11(), np.ones((26, 1))))
 def test_coefficient_block_equals_the_two_svd_reference_bytewise(factors):
     """One SVD of R11 decides the path and gives the minimum-norm solve, as
     the former condition SVD and pseudo-inverse SVD did."""

@@ -20,6 +20,7 @@ from bifidelity.errors import (
     VersionUnsupported,
 )
 from bifidelity.interp import build_id
+from bifidelity.lifting import required_samples
 from bifidelity.linalg import singular_values
 from bifidelity.snapio import (
     _atomic_write,
@@ -200,6 +201,22 @@ def test_id_file_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, dec.coeffs)
     assert back.residual_norm == dec.residual_norm
     assert ids == low.sample_ids
+
+
+@pytest.mark.parametrize("ids,message", [(["a", "b"], "2 sample ids for 3 columns"),
+                                         (["a", "b", "a"], "sample ids must be distinct")],
+                         ids=["one-short", "repeated"])
+def test_every_entry_of_sample_ids_refuses_alike(tmp_path, ids, message):
+    """A snapshot matrix, the required samples and an ID file each take n
+    distinct ids for n columns, refused with one message."""
+    dec = build_id(np.eye(3), rank=2)
+    path = tmp_path / "id.json"
+    for enter in (lambda: SnapshotMatrix(np.eye(3), ids),
+                  lambda: required_samples(dec, ids),
+                  lambda: write_id(dec, path, sample_ids=ids)):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            enter()
+    assert not path.exists()
 
 
 def test_id_file_rejects_other_json(tmp_path):
