@@ -7,23 +7,21 @@ identity block on the selected columns:
     L  ~=  L(:, selected) @ C,      C[:, selected] = I.
 
 Column selection is greedy max-residual-norm QR pivoting; the coefficient
-block Z solves R11 Z = R12 from the pivoted QR factors. One SVD of R11
-gives its condition number; when that exceeds ``ILL_CONDITION_LIMIT`` the
-same SVD gives the minimum-Frobenius-norm least-squares solution instead.
+block Z solves R11 Z = R12 from the pivoted QR factors by one back
+substitution, as in the standard ID (Cheng, Gimbutas, Martinsson & Rokhlin
+2005), whatever the condition of R11: the residual of a rank-r ID is then
+the trailing QR block, which is what tolerance mode certifies.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, ToleranceUnreachable
-from .linalg import DEFAULT_CUTOFF, _as_matrix, pivoted_qr, spectral_norm
+from .errors import DimensionMismatch, ToleranceUnreachable
+from .linalg import _as_matrix, pivoted_qr, spectral_norm
 from .snapshots import SnapshotMatrix
 
 __all__ = ["InterpDecomposition", "build_id"]
-
-#: Condition number of R11 above which the minimum-norm solve is used.
-ILL_CONDITION_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -81,32 +79,13 @@ class InterpDecomposition:
 
 
 def _solve_coefficient_block(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
-    """Solve R11 Z = R12; minimum-Frobenius-norm solution if ill-conditioned.
+    """Solve R11 Z = R12 for an upper-triangular R11 with a nonzero diagonal.
 
-    One SVD of R11 gives its condition, and on the ill-conditioned path the
-    pseudo-inverse, in which singular values <= ``DEFAULT_CUTOFF * sigma_1``
-    count as zero. R11's diagonal holds the nonzero pivot norms, so
-    sigma_1 > 0. The condition test multiplies rather than divides: a
-    singular R11 can give a sigma_r that is 0 or subnormal, and
-    sigma_1 / sigma_r would overflow. The product is a Python float, which
-    is inf without a warning past the float range, where R11 is well
-    conditioned.
+    Partial pivoting swaps nothing on such an R11, so the LU leaves it
+    unchanged and the solve is one back substitution. :func:`pivoted_qr`
+    stops before a pivot whose diagonal entry would be 0 or subnormal, so
+    every diagonal entry of an ID's R11 has a finite reciprocal.
     """
-    r = r11.shape[0]
-    if r == 0 or r12.shape[1] == 0:
-        return np.zeros((r, r12.shape[1]))
-    try:
-        u, s, vh = np.linalg.svd(r11, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    if not s[0] <= ILL_CONDITION_LIMIT * float(s[-1]):
-        keep = s > DEFAULT_CUTOFF * s[0]
-        inv = np.zeros_like(s)
-        inv[keep] = 1.0 / s[keep]
-        # V is copied to C order before the product: the layout decides its bits
-        return ((vh.T.copy() * inv) @ u.T) @ r12
-    # R11 is upper triangular with a nonzero diagonal, so partial pivoting swaps
-    # nothing, the LU leaves R11 unchanged and the solve is one back-substitution
     return np.linalg.solve(r11, r12)
 
 
@@ -132,9 +111,13 @@ def build_id(low, *, rank: int | None = None, tol: float | None = None) -> Inter
 
     Exactly one of ``rank`` (fixed rank) or ``tol`` (smallest rank r >= 1
     whose recomputed reconstruction residual, measured in the spectral norm,
-    is <= tol) must be given. A tolerance-mode result is bitwise equal to the
-    fixed-rank result at the rank it chose. ``low`` may be a
-    :class:`SnapshotMatrix` or a plain array.
+    is <= tol) must be given. In tolerance mode :func:`pivoted_qr` stops at
+    the first rank whose trailing block meets tol; with the coefficients
+    from back substitution that block is the ID's residual, so the rank is
+    the one the QR certified, and the next rank is taken only when the
+    recomputed residual misses tol by roundoff. A tolerance-mode result is
+    bitwise equal to the fixed-rank result at the rank it chose. ``low`` may
+    be a :class:`SnapshotMatrix` or a plain array.
 
     Raises :class:`ToleranceUnreachable` when even the full-rank
     decomposition cannot meet ``tol``.

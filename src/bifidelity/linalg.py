@@ -64,8 +64,10 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
     SVD of the block runs only when its norm lies within a relative band of
     16 (m + sqrt(N)) u around tol, for sides m <= N and u = 2^-53. Every
     decision is that of the SVD. If the residual becomes exactly zero, or
-    tolerance mode exhausts min(rows, cols) steps, fewer columns than
-    requested may be returned.
+    the next diagonal entry of R would scale back to 0 or a subnormal (its
+    reciprocal, which a triangular solve takes, overflows), or tolerance
+    mode exhausts min(rows, cols) steps, fewer columns than requested may
+    be returned.
 
     Returns ``(Q, R, perm, rank)``: Q with `rank` orthonormal columns, R of
     shape (rank, cols) upper triangular in its leading block, and ``perm`` the
@@ -132,8 +134,10 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
         if nv == 0.0:
             break
         q = v / nv
-        q_full[:, k] = q
         row = q @ w[:, k:]
+        if abs(np.ldexp(row[0], e)) < np.finfo(np.float64).tiny:
+            break  # R[k, k] would scale back to 0 or a subnormal
+        q_full[:, k] = q
         r_full[k, k:] = row
         w[:, k:] -= np.outer(q, row)
         k += 1

@@ -238,7 +238,16 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
             f"{path}: sidecar lists {len(ids)} ids for {n_samples} columns"
         )
     # read-only over the file's immutable bytes: kept without a copy
-    return SnapshotMatrix._adopt(data, tuple(ids))
+    return _adopt(data, ids, path)
+
+
+def _adopt(data: np.ndarray, ids, path) -> SnapshotMatrix:
+    """The matrix of the file ``path``, without a copy of ``data``; a
+    :class:`DimensionMismatch`, such as repeated ids, names the file."""
+    try:
+        return SnapshotMatrix._adopt(data, tuple(ids))
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{path}: {exc}") from exc
 
 
 def _read_csv(text: str, path) -> SnapshotMatrix:
@@ -272,7 +281,7 @@ def _read_csv(text: str, path) -> SnapshotMatrix:
     sidecar_ids = _read_sidecar(path)
     if sidecar_ids is not None and tuple(sidecar_ids) != ids:
         raise DimensionMismatch(f"{path}: sidecar ids disagree with the CSV header")
-    return SnapshotMatrix._adopt(data, ids)
+    return _adopt(data, ids, path)
 
 
 def read_snapshots(path) -> SnapshotMatrix:

@@ -42,11 +42,6 @@ unchecked must match it bit for bit wherever that pencil is exactly
 symmetric. ``lambda_max_symmetric`` and ``_symmetric_part`` are the
 package's former functions of those names, kept here as that reference; a
 non-square input raises ``DimensionMismatch``.
-
-``solve_coefficient_block`` and ``pseudo_inverse`` are the ID's former
-coefficient solve, which took one SVD of R11 for its condition and a second
-inside the pseudo-inverse; the package's one-SVD solve must match them byte
-for byte.
 """
 
 import math
@@ -59,8 +54,7 @@ from bifidelity.bound import (EPS_CHUNK_BYTES, GramianPair, _lifting_error,
 from bifidelity.errors import (DimensionMismatch, KOutOfRange, NegativeTau,
                               NoConvergence, NonFiniteInput,
                               ToleranceUnreachable)
-from bifidelity.interp import (ILL_CONDITION_LIMIT, InterpDecomposition, _assemble,
-                               build_id)
+from bifidelity.interp import InterpDecomposition, _assemble, build_id
 from bifidelity.linalg import DEFAULT_CUTOFF, pivoted_qr, singular_values
 from bifidelity.models import beam_grid
 from bifidelity.snapshots import SnapshotMatrix, _positional_ids, aligned_sample_ids
@@ -472,33 +466,3 @@ def lambda_max_symmetric(s):
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
     return float(lam) if s.ndim == 2 else lam
-
-
-def solve_coefficient_block(r11, r12):
-    """Solve R11 Z = R12; minimum-Frobenius-norm solution if ill-conditioned."""
-    r = r11.shape[0]
-    if r == 0 or r12.shape[1] == 0:
-        return np.zeros((r, r12.shape[1]))
-    s = np.linalg.svd(r11, compute_uv=False)
-    # a singular R11 can give a subnormal sigma_r, and the ratio overflows
-    with np.errstate(over="ignore"):
-        ill = s[-1] == 0.0 or s[0] / s[-1] > ILL_CONDITION_LIMIT
-    if ill:
-        return pseudo_inverse(r11) @ r12
-    return np.linalg.solve(r11, r12)
-
-
-def pseudo_inverse(a):
-    """Moore-Penrose pseudo-inverse; singular values <= ``DEFAULT_CUTOFF *
-    sigma_1`` count as zero. V is copied to C order before the product: the
-    layout decides its bits."""
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    if s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > DEFAULT_CUTOFF * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vh.T.copy() * inv) @ u.T

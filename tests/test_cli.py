@@ -23,11 +23,11 @@ from bifidelity.errors import DataError
 from bifidelity.interp import build_id
 from bifidelity.snapio import read_id, read_snapshots, write_id, write_snapshots
 from bifidelity.lifting import required_samples
-from bifidelity.linalg import spectral_norm
+from bifidelity.linalg import pivoted_qr, spectral_norm
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 from bifidelity.snapshots import SnapshotMatrix
 
-from oracles import columns, efficacy_full_sweep, from_array
+from oracles import columns, efficacy_full_sweep, from_array, random_matrix_with_spectrum
 
 
 def run_pipeline(workdir: Path, seed=7) -> dict[str, Path]:
@@ -333,6 +333,23 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_decompose_tol_below_the_truncation_plateau_exits_zero(tmp_path, capsys):
+    """L is 24 x 60 with singular values graded from 1 to 1e-14. At tol 1e-13
+    the QR certifies rank 22, where cond(R11) is about 1e13; back
+    substitution keeps the ID residual at the trailing block's, below tol.
+    A solve that dropped R11's singular values under 1e-12 sigma_1 would
+    leave a residual near 1e-12 at every rank."""
+    low = random_matrix_with_spectrum(np.random.default_rng(5), 24, 60,
+                                      10.0 ** -np.linspace(0.0, 14.0, 24))
+    write_snapshots(from_array(low), tmp_path / "low.bfsm")
+    assert cli_main(["decompose", "--low", str(tmp_path / "low.bfsm"), "--tol", "1e-13",
+                     "--out-id", str(tmp_path / "id.json")]) == 0
+    dec, _ = read_id(tmp_path / "id.json")
+    assert dec.rank == pivoted_qr(low, tol=1e-13)[3] == 22
+    assert dec.residual_norm <= 1e-13
+    assert capsys.readouterr().err == ""
+
+
 @pytest.fixture(scope="module")
 def beam_files(tmp_path_factory):
     """A 60-sample beam study plus a file of every sixth high-fidelity column."""
@@ -451,10 +468,10 @@ def test_failed_eigensolve_exits_three_with_one_line(diffusion_files, capsys,
         "numerical failure: symmetric eigensolve failed: Eigenvalues did not converge"]
 
 
-@pytest.mark.parametrize("svd", ["of R11", "of the trailing block in the band"])
+@pytest.mark.parametrize("svd", ["of the residual", "of the trailing block in the band"])
 def test_failed_svd_exits_three_with_one_line(tmp_path, capsys, monkeypatch, svd):
-    """A failed SVD of R11, or of the QR's trailing block when the Gram side
-    reads exactly tol, ends decompose with exit 3 and one line."""
+    """A failed SVD of the ID residual, or of the QR's trailing block when the
+    Gram side reads exactly tol, ends decompose with exit 3 and one line."""
     data = np.random.default_rng(3).uniform(-0.9, 0.9, (16, 40))
     low_path = tmp_path / "low.bfsm"
     write_snapshots(from_array(data), low_path)
@@ -465,8 +482,8 @@ def test_failed_svd_exits_three_with_one_line(tmp_path, capsys, monkeypatch, svd
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    if svd == "of R11":
-        mode, expected = ["--rank", "3"], [(3, 3)]
+    if svd == "of the residual":
+        mode, expected = ["--rank", "3"], [data.shape]
     else:
         # max|L| < 1, so the QR steps run on L itself and meet tol unscaled;
         # tol lies between the largest column norm and their 2-norm
@@ -576,7 +593,7 @@ BAD_SIDECARS = {
 # disagrees with them)
 BFSM_SIDECAR_LINES = {
     "ids-one-short": "data error: {low}: sidecar lists 2 ids for 3 columns",
-    "ids-repeated": "data error: sample ids must be distinct",
+    "ids-repeated": "data error: {low}: sample ids must be distinct",
 }
 
 
@@ -590,6 +607,14 @@ def test_malformed_sidecar_exits_two(tmp_path, capsys, name, fmt):
                                        "--out-id", str(tmp_path / "id.json")])
     if fmt == "bfsm" and name in BFSM_SIDECAR_LINES:
         assert line == BFSM_SIDECAR_LINES[name].format(low=low)
+
+
+def test_a_csv_header_with_repeated_ids_names_the_file(tmp_path, capsys):
+    low = tmp_path / "low.csv"
+    low.write_text("a,b,a\n1,2,3\n")
+    line = _assert_data_error(capsys, ["decompose", "--low", str(low), "--rank", "1",
+                                       "--out-id", str(tmp_path / "id.json")])
+    assert line == f"data error: {low}: sample ids must be distinct"
 
 
 def test_a_csv_cell_past_the_field_limit_exits_two(tmp_path, capsys):

@@ -143,7 +143,7 @@ CONTRACT_DIGESTS = {
     ],
     "beam decompose --rank": [
         0,
-        "21ab7cc63ed82afa6e147cbfba83d139c536a7963f32c217ef8dff2d8497fd7f",
+        "4151eb7dedd77719b42c70faf0059d68e6a4369cd127338d3dcec1d67b66facf",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ],
     "beam decompose --tol": [
@@ -168,17 +168,17 @@ CONTRACT_DIGESTS = {
     ],
     "beam bound": [
         0,
-        "141b9892aa83061efa56895bd3b0ca758eeff70b9a2907bcfd436e3d17fc3a54",
+        "09002df6957306ae025147be058387fac24da8186850ee0e5068c7af3f4ba6e3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ],
     "beam bound --two-tau": [
         0,
-        "21419b2d9a44f962abbdf4a208259dd85092aad9cb69268f24b5dbf9054e4b97",
+        "2f2c46ea9f47c78b9db95f589cffdadc24f0bcb1f18fccdd1089f564d923138c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ],
     "beam efficacy": [
         0,
-        "651dd81c9cc3f9fe44387faf7d4d2bde8d64d890e6e4689b7c86e1ebfafadeda",
+        "3df66a8fff23c3b96c4c3ad15cceb909c4d9cf30b5eaabcb093731ab46dd5fbe",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ],
     "refused out-id dir": [
@@ -212,11 +212,11 @@ CONTRACT_DIGESTS = {
         "b684fe211a368bb671580cacf85bf5d2a78fb5601ae42736a8b82b4370e575ee",
     ],
     "beam.hat.bfsm":
-        "2154ac2530cdcfd5026e0409d8ac2a6fd907bbb6ad0e0e713862b4039a25d63b",
+        "2ee1136f56bc56666c3c237a74d81c2b1ea1d731e8ba1b9b6a4cbdc6dc60978e",
     "beam.hat.bfsm.json":
         "6d6d0ea42e07bea57856f6a2cadf6e17a30e94fbb73bafa406ae64366b8ba712",
     "beam.hat.csv":
-        "4669eb80708f7014781b4f1490f9648c6eb86450cfc26da5998f056bea52f951",
+        "d209e6d0b9b86b861d9f993bbfb9eb9df03477448b831aaa61b9d9d1df0635b1",
     "beam.hat.csv.json":
         "6d6d0ea42e07bea57856f6a2cadf6e17a30e94fbb73bafa406ae64366b8ba712",
     "beam.high.bfsm":
@@ -224,7 +224,7 @@ CONTRACT_DIGESTS = {
     "beam.high.bfsm.json":
         "afb2a81b3cd15e34a50b21fade35bc01159e37bf9fc61eb0dffb203b83d8e9af",
     "beam.id.json":
-        "e1e539c7409e0383eb3ee452c9fae4d0c317e83f6247658da99cc92a0d7dfb13",
+        "b050d5ef6c667434eeb566aac3cdd3f0091b36c686bd69c268e633a24b37b812",
     "beam.low.bfsm":
         "616a092eb4527b2cde173fb05599ef74486930e9ef0a50a441e14c6258f5a111",
     "beam.low.bfsm.json":
@@ -232,11 +232,11 @@ CONTRACT_DIGESTS = {
     "beam.manifest.json":
         "267a5486b021bce1219a6fc2232b80f6e54592484fea2adbb9f9724434529cce",
     "beam.ratios.csv":
-        "9aa21193aaa27195cdac1c84cacc720c9c6d4d6f0b68ea7e70bcb071f266c2c0",
+        "88f950b9eab1f73d38e45e8883e3145a26597a8e273a0c2277c40c71e0c442a0",
     "beam.report.csv":
-        "92f17c29ff9c1b032a8aaac2984730900b99ed5bccc4b7b0ce2164e151c47faa",
+        "ccf214ab27db3c1991ad90f0598b88a79e8a6834aa2edb664e3bf77200477c48",
     "beam.report2.csv":
-        "988ed665b5cc467c62919f298d7fd555aba622dd5c4654a0e7f0b1a9af2889ed",
+        "4146244a736b185821171f710781dba7463ce88613f799fe847796a499b94fb3",
     "beam.skel.bfsm":
         "484868d33c02670ce892fccef8c8e6937cfa7f9a9f1288b02b9533f29c645506",
     "beam.skel.bfsm.json":
