@@ -38,12 +38,9 @@ from .errors import (
     AllCombinationsInvalid,
     DegenerateError,
     DimensionMismatch,
-    EmptyGrid,
-    KOutOfRange,
-    NegativeTau,
     NoConvergence,
     NonFiniteInput,
-    SampleMismatch,
+    OutOfBounds,
 )
 from .interp import build_id
 from .linalg import (
@@ -100,12 +97,12 @@ def tau_grid(tau_min: float = 1e-6, tau_max: float = 1e6, count: int = 201,
     """Build a tau grid from CLI-style parameters; each omitted one takes
     its default.
 
-    The bounds must each be finite and >= 0 (:class:`NegativeTau`, as for
+    The bounds must each be finite and >= 0 (:class:`OutOfBounds`, as for
     every tau), and ordered; a log grid needs ``tau_min`` > 0. A log grid
     starts and ends at the bounds themselves.
     """
     if count < 1:
-        raise EmptyGrid(f"grid count must be >= 1, got {count}")
+        raise DimensionMismatch(f"grid count must be >= 1, got {count}")
     _check_tau((tau_min, tau_max))
     if tau_min > tau_max:
         raise DimensionMismatch(f"grid bounds must be ordered, got [{tau_min}, {tau_max}]")
@@ -128,7 +125,7 @@ def tau_grid(tau_min: float = 1e-6, tau_max: float = 1e6, count: int = 201,
 def _validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64).ravel()
     if g.size == 0:
-        raise EmptyGrid("tau grid is empty")
+        raise DimensionMismatch("tau grid is empty")
     _check_tau(g)
     if np.any(np.diff(g) < 0.0):
         raise DimensionMismatch("tau grid must be sorted ascending")
@@ -177,7 +174,7 @@ class GramianPair:
         lc = _as_matrix(low_cols, "low columns")
         n_sub = hc.shape[1]
         if lc.shape[1] != n_sub:
-            raise SampleMismatch(f"column counts differ: {n_sub} vs {lc.shape[1]}")
+            raise DimensionMismatch(f"column counts differ: {n_sub} vs {lc.shape[1]}")
         if hc.shape[0] + lc.shape[0] < n_sub:
             # Gh - tau Gl = Q (core_h - tau core_l) Q^T: the Gramians are
             # projected, not rebuilt from R, so H == L still cancels exactly
@@ -227,7 +224,7 @@ def _check_tau(tau) -> np.ndarray:
     flat = taus.reshape(-1)
     bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
     if bad.size:
-        raise NegativeTau(f"tau must be finite and >= 0, got {bad[0]}")
+        raise OutOfBounds(f"tau must be finite and >= 0, got {bad[0]}")
     return taus
 
 
@@ -300,7 +297,7 @@ def _rho_terms(grid: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
     """
     rank = _numerical_rank(sigma)
     if rank == 0:
-        raise KOutOfRange("rank(L) is zero; no valid k exists")
+        raise DimensionMismatch("rank(L) is zero; no valid k exists")
     sk = sigma[:rank]
     # sigma_{k+1} for k = 1..rank, with sigma_{rank+1} := 0 by convention
     skp1 = np.append(sigma[1:rank], 0.0)

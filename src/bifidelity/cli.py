@@ -32,7 +32,7 @@ from .bound import (
     tau_grid,
     write_bound_report,
 )
-from .errors import DataError, NumericalError, SampleMismatch
+from .errors import DataError, DimensionMismatch, NumericalError
 from .interp import build_id
 from .lifting import evaluate_all, lift, required_samples
 from .linalg import singular_values
@@ -57,13 +57,10 @@ from .snapshots import SnapshotMatrix, _positional_ids
 __all__ = ["cli_main", "main"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        # one stderr line and exit 1, without argparse's usage text
+        self.exit(1, f"error: {message}\n")
 
 
 def _add_mode_flags(p):
@@ -222,7 +219,7 @@ def _cmd_lift(args) -> list[str]:
             i = next((j for j, (a, b) in enumerate(zip(got, needed)) if a != b),
                      min(len(got), len(needed)))
             at = [repr(s[i]) if i < len(s) else "nothing" for s in (got, needed)]
-            raise SampleMismatch(
+            raise DimensionMismatch(
                 f"high-fidelity skeleton has {len(got)} ids where {len(needed)} are "
                 f"required; at position {i} it has {at[0]} where {at[1]} is required"
             )
@@ -244,7 +241,7 @@ def _cmd_bound(args) -> list[str]:
     try:
         idx = [positions[sid] for sid in high_sub.sample_ids]
     except KeyError as exc:
-        raise SampleMismatch(
+        raise DimensionMismatch(
             f"sub-sampled column id {exc.args[0]!r} not present in {args.low}"
         ) from exc
 
@@ -310,10 +307,7 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help / --version paths
+    except SystemExit as exc:  # usage errors, --help and --version
         return 0 if exc.code in (0, None) else 1
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)

@@ -2,19 +2,22 @@
 
 Two branches matter for the CLI exit-code mapping: ``DataError`` (bad inputs,
 bad files, mismatched shapes/ids -> exit 2) and ``NumericalError`` (a
-computation that cannot produce a meaningful result -> exit 3).
+computation that cannot produce a meaningful result -> exit 3), so
+``except (DataError, NumericalError)`` catches every package error. Each
+message carries the detail, naming the file where there is one.
+
+A class below a branch stays only if the README names it or a caller catches
+it apart from its branch; any other refusal raises the nearest class that
+does. Adding a class is therefore a deliberate edit, and
+``tests/test_api.py`` pins the set.
 """
 
 
-class BifidelityError(Exception):
-    """Base class for all package errors."""
-
-
-class DataError(BifidelityError, ValueError):
+class DataError(ValueError):
     """Inputs violate a contract: shapes, values, formats, alignment."""
 
 
-class NumericalError(BifidelityError, ArithmeticError):
+class NumericalError(ArithmeticError):
     """A numerical procedure failed or the result is meaningless."""
 
 
@@ -24,53 +27,12 @@ class NonFiniteInput(DataError):
     """A matrix or vector argument contains NaN or Inf."""
 
 
-class RankExceedsDims(DataError):
-    """Requested rank larger than min(rows, cols)."""
-
-
 class DimensionMismatch(DataError):
-    """Operand dimensions are incompatible."""
-
-
-class SampleMismatch(DataError):
-    """Snapshot matrices do not share aligned sample identifiers."""
-
-
-class NegativeTau(DataError):
-    """The scaling parameter tau must be non-negative."""
-
-
-class KOutOfRange(DataError):
-    """Rank index k outside {1, ..., rank}."""
-
-
-class EmptyGrid(DataError):
-    """The tau grid contains no points."""
+    """Operand shapes, ranks, counts or sample ids are incompatible."""
 
 
 class OutOfBounds(DataError):
-    """A model parameter lies outside its configured range."""
-
-
-class BadMagic(DataError):
-    """Snapshot file does not start with the expected magic bytes."""
-
-
-class VersionUnsupported(DataError):
-    """Snapshot file declares an unknown format version."""
-
-
-class TruncatedPayload(DataError):
-    """Snapshot file payload shorter than the header promises."""
-
-
-class NonFiniteEntry(DataError):
-    """A snapshot file contains a NaN or Inf entry."""
-
-
-class MalformedFile(DataError):
-    """A JSON decomposition file or snapshot sidecar is not valid JSON, lacks
-    a field, or holds a field of the wrong type."""
+    """A value outside its range."""
 
 
 # --- numerical errors --------------------------------------------------------
@@ -89,7 +51,3 @@ class AllCombinationsInvalid(NumericalError):
 
 class DegenerateError(NumericalError):
     """True error at the floating-point noise floor; ratios meaningless."""
-
-
-class SolverFailure(NumericalError):
-    """A linear system solve failed (singular or ill-posed system)."""

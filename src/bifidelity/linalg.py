@@ -16,12 +16,7 @@ construction, so no kernel here symmetrises a given matrix.
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NonFiniteInput,
-    RankExceedsDims,
-)
+from .errors import DimensionMismatch, NoConvergence, NonFiniteInput
 
 __all__ = ["pivoted_qr", "spectral_norm"]
 
@@ -85,7 +80,7 @@ def pivoted_qr(a, *, rank: int | None = None, tol: float | None = None):
         raise DimensionMismatch("exactly one of rank= or tol= must be given")
     if rank is not None:
         if not 1 <= rank <= max_rank:
-            raise RankExceedsDims(f"rank {rank} outside [1, {max_rank}]")
+            raise DimensionMismatch(f"rank {rank} outside [1, {max_rank}]")
         target = rank
     else:
         if tol < 0.0 or not np.isfinite(tol):

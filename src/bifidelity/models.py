@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfBounds, SolverFailure
+from .errors import DimensionMismatch, NumericalError, OutOfBounds
 from .snapshots import SnapshotMatrix
 
 __all__ = [
@@ -246,16 +246,16 @@ def _solve_flux(weights: np.ndarray, x: np.ndarray, half_basis: np.ndarray,
     The matrix is diagonally dominant, so gtsv swaps no rows on it and the
     sweep gives its bits, unless the coefficient spans more than about
     1e16 and rounding decides; a pivot that is not positive raises
-    :class:`SolverFailure`.
+    :class:`NumericalError`.
     """
     h = x[1] - x[0]
     a_half = _coefficients(half_basis, weights)
     if np.any(a_half <= 0.0):
-        raise SolverFailure("diffusion coefficient must be positive")
+        raise NumericalError("diffusion coefficient must be positive")
     off = -(a_half[1:-1] / h**2)  # sub- and super-diagonal
     piv = (a_half[:-1] + a_half[1:]) / h**2  # the diagonal, then the pivots
     if not np.all(np.isfinite(piv)):
-        raise SolverFailure("tridiagonal solve failed: the matrix holds infs or NaNs")
+        raise NumericalError("tridiagonal solve failed: the matrix holds infs or NaNs")
 
     u = np.zeros((x.size, weights.shape[0]))
     b = u[1:-1]  # right-hand side, then the interior solution
@@ -266,7 +266,7 @@ def _solve_flux(weights: np.ndarray, x: np.ndarray, half_basis: np.ndarray,
             piv[i + 1] -= fact * off[i]
             b[i + 1] -= fact * b[i]
     if not np.all(piv > 0.0):
-        raise SolverFailure("tridiagonal solve failed: a pivot is not positive")
+        raise NumericalError("tridiagonal solve failed: a pivot is not positive")
     b[-1] /= piv[-1]
     for i in range(len(b) - 2, -1, -1):
         b[i] -= off[i] * b[i + 1]

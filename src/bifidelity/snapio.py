@@ -37,15 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DataError,
-    DimensionMismatch,
-    MalformedFile,
-    NonFiniteEntry,
-    TruncatedPayload,
-    VersionUnsupported,
-)
+from .errors import DataError, DimensionMismatch
 from .interp import InterpDecomposition
 from .linalg import _all_finite
 from .snapshots import SnapshotMatrix, _positional_ids, _sample_ids
@@ -114,25 +106,25 @@ def _write_sidecar(path, sample_ids, provenance) -> None:
 
 
 def _load_json(path) -> dict:
-    """A JSON object from ``path``; :class:`MalformedFile` if it is none."""
+    """A JSON object from ``path``; :class:`DataError` if it is none."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and integers past Python's
         # digit limit; RecursionError comes from very deep nesting
-        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise MalformedFile(f"{path}: expected a JSON object")
+        raise DataError(f"{path}: expected a JSON object")
     return doc
 
 
 def _field(doc: dict, key: str, kind, path):
     """``doc[key]``, checked to be an instance of ``kind`` (never a bool)."""
     if key not in doc:
-        raise MalformedFile(f"{path}: missing key {key!r}")
+        raise DataError(f"{path}: missing key {key!r}")
     value = doc[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise MalformedFile(f"{path}: {key!r} has the wrong type")
+        raise DataError(f"{path}: {key!r} has the wrong type")
     return value
 
 
@@ -140,21 +132,21 @@ def _list_of(doc: dict, key: str, kind, path) -> list:
     """``doc[key]``, checked to be a list of ``kind`` (never of bools)."""
     items = _field(doc, key, list, path)
     if not all(isinstance(x, kind) and not isinstance(x, bool) for x in items):
-        raise MalformedFile(f"{path}: {key!r} must be a list of {kind.__name__}")
+        raise DataError(f"{path}: {key!r} must be a list of {kind.__name__}")
     return items
 
 
 def _matrix(doc: dict, key: str, path) -> np.ndarray:
-    """``doc[key]`` as a float64 array; :class:`MalformedFile` if not numeric
+    """``doc[key]`` as a float64 array; :class:`DataError` if not numeric
     or not finite."""
     rows = _field(doc, key, list, path)
     try:
         matrix = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer past the float range
-        raise MalformedFile(f"{path}: {key!r} is not a numeric matrix") from exc
+        raise DataError(f"{path}: {key!r} is not a numeric matrix") from exc
     if not _all_finite(matrix):
-        raise MalformedFile(f"{path}: {key!r} holds NaN or Inf")
+        raise DataError(f"{path}: {key!r} holds NaN or Inf")
     return matrix
 
 
@@ -208,10 +200,10 @@ def write_snapshots(matrix: SnapshotMatrix, path, fmt: str = "bfsm",
 
 def _read_binary(raw: bytes, path) -> SnapshotMatrix:
     if len(raw) < _HEADER.size:
-        raise TruncatedPayload(f"{path}: file shorter than the header")
+        raise DataError(f"{path}: file shorter than the header")
     _, version, dim, n_samples = _HEADER.unpack_from(raw)
     if version != VERSION:
-        raise VersionUnsupported(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     if 8 * max(dim, n_samples) > np.iinfo(np.intp).max:
         # numpy caps each dimension's byte length, even with no entries; a
         # zero count would let the size check below pass
@@ -219,17 +211,17 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
                                 "exceeds the largest array dimension")
     expected = _HEADER.size + 8 * dim * n_samples
     if len(raw) < expected:
-        raise TruncatedPayload(
+        raise DataError(
             f"{path}: payload holds {len(raw) - _HEADER.size} bytes, "
             f"header promises {expected - _HEADER.size}"
         )
     if len(raw) > expected:
-        raise TruncatedPayload(f"{path}: {len(raw) - expected} trailing bytes")
+        raise DataError(f"{path}: {len(raw) - expected} trailing bytes")
     flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     data = flat.reshape((dim, n_samples), order="F")
     if not _all_finite(data):
         i, j = np.argwhere(~np.isfinite(data))[0]
-        raise NonFiniteEntry(f"{path}: non-finite value at row {i}, column {j}")
+        raise DataError(f"{path}: non-finite value at row {i}, column {j}")
     ids = _read_sidecar(path)
     if ids is None:
         ids = _positional_ids(n_samples)
@@ -238,14 +230,16 @@ def _read_binary(raw: bytes, path) -> SnapshotMatrix:
             f"{path}: sidecar lists {len(ids)} ids for {n_samples} columns"
         )
     # read-only over the file's immutable bytes: kept without a copy
-    return _adopt(data, ids, path)
+    with _naming(path):
+        return SnapshotMatrix._adopt(data, ids)
 
 
-def _adopt(data: np.ndarray, ids, path) -> SnapshotMatrix:
-    """The matrix of the file ``path``, without a copy of ``data``; a
-    :class:`DimensionMismatch`, such as repeated ids, names the file."""
+@contextlib.contextmanager
+def _naming(path):
+    """Raise a :class:`DimensionMismatch` of the block, such as repeated
+    ids, again with the file ``path`` in front."""
     try:
-        return SnapshotMatrix._adopt(data, tuple(ids))
+        yield
     except DimensionMismatch as exc:
         raise DimensionMismatch(f"{path}: {exc}") from exc
 
@@ -254,10 +248,10 @@ def _read_csv(text: str, path) -> SnapshotMatrix:
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
-        raise BadMagic(f"{path}: neither BFSM binary nor parseable CSV") from exc
+        raise DataError(f"{path}: neither BFSM binary nor parseable CSV") from exc
     rows = [r for r in rows if r]
     if len(rows) < 2:
-        raise TruncatedPayload(f"{path}: CSV needs a header and at least one row")
+        raise DataError(f"{path}: CSV needs a header and at least one row")
     ids = tuple(rows[0])
     n = len(ids)
     data = np.empty((len(rows) - 1, n))
@@ -270,30 +264,31 @@ def _read_csv(text: str, path) -> SnapshotMatrix:
             try:
                 v = float(cell)
             except ValueError as exc:
-                raise NonFiniteEntry(
+                raise DataError(
                     f"{path}: unparseable value at row {i}, column {ids[j]!r}"
                 ) from exc
             if not np.isfinite(v):
-                raise NonFiniteEntry(
+                raise DataError(
                     f"{path}: non-finite value at row {i}, column {ids[j]!r}"
                 )
             data[i, j] = v
     sidecar_ids = _read_sidecar(path)
     if sidecar_ids is not None and tuple(sidecar_ids) != ids:
         raise DimensionMismatch(f"{path}: sidecar ids disagree with the CSV header")
-    return _adopt(data, ids, path)
+    with _naming(path):
+        return SnapshotMatrix._adopt(data, ids)
 
 
 def read_snapshots(path) -> SnapshotMatrix:
     """Read a snapshot file: BFSM binary when it starts with the magic,
-    CSV otherwise (:class:`BadMagic` when it is not UTF-8 text)."""
+    CSV otherwise (:class:`DataError` when it is not UTF-8 text)."""
     raw = Path(path).read_bytes()
     if raw[:4] == MAGIC:
         return _read_binary(raw, path)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise BadMagic(f"{path}: neither BFSM binary nor parseable CSV") from exc
+        raise DataError(f"{path}: neither BFSM binary nor parseable CSV") from exc
     return _read_csv(text, path)
 
 
@@ -344,9 +339,9 @@ def read_id(path):
     """
     doc = _load_json(path)
     if doc.get("format") != ID_FORMAT:
-        raise BadMagic(f"{path}: not a {ID_FORMAT} file")
+        raise DataError(f"{path}: not a {ID_FORMAT} file")
     if doc.get("version") != ID_VERSION:
-        raise VersionUnsupported(f"{path}: unsupported version {doc.get('version')}")
+        raise DataError(f"{path}: unsupported version {doc.get('version')}")
     rank = _field(doc, "rank", int, path)
     coeffs = _matrix(doc, "coeffs", path)
     ids = None
@@ -355,22 +350,20 @@ def read_id(path):
     if rank == 0 and coeffs.size == 0:
         # a rank-0 coeffs matrix is written as [], which loses its width
         if ids is None:
-            raise MalformedFile(f"{path}: a rank-0 decomposition needs 'sample_ids'")
+            raise DataError(f"{path}: a rank-0 decomposition needs 'sample_ids'")
         coeffs = np.zeros((0, len(ids)))
     selected = tuple(_list_of(doc, "selected", int, path))
     skeleton = _matrix(doc, "skeleton", path)
     residual_norm = _field(doc, "residual_norm", (int, float), path)
     # NaN fails the comparison; an integer past the float range exceeds max
     if not 0.0 <= residual_norm <= sys.float_info.max:
-        raise MalformedFile(f"{path}: 'residual_norm' must be finite and >= 0")
+        raise DataError(f"{path}: 'residual_norm' must be finite and >= 0")
     if rank != len(selected):
-        raise MalformedFile(f"{path}: rank must equal the number of selected columns")
-    try:
+        raise DataError(f"{path}: rank must equal the number of selected columns")
+    with _naming(path):
         decomposition = InterpDecomposition(
             selected=selected, skeleton=skeleton, coeffs=coeffs,
             residual_norm=residual_norm,
         )
         ids = None if ids is None else _sample_ids(ids, decomposition.n_samples)
-    except DimensionMismatch as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
     return decomposition, ids

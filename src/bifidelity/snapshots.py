@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SampleMismatch
+from .errors import DimensionMismatch
 from .linalg import _as_matrix
 
 __all__ = ["SnapshotMatrix", "aligned_sample_ids"]
@@ -75,11 +75,11 @@ def _positional_ids(n: int) -> tuple[str, ...]:
 
 
 def aligned_sample_ids(high: SnapshotMatrix, low: SnapshotMatrix) -> None:
-    """Raise :class:`SampleMismatch` unless both matrices share the same
+    """Raise :class:`DimensionMismatch` unless both matrices share the same
     sample ids in the same column order."""
     if high.n_samples != low.n_samples:
-        raise SampleMismatch(
+        raise DimensionMismatch(
             f"sample counts differ: {high.n_samples} vs {low.n_samples}"
         )
     if high.sample_ids != low.sample_ids:
-        raise SampleMismatch("sample ids are not aligned between ensembles")
+        raise DimensionMismatch("sample ids are not aligned between ensembles")

@@ -51,8 +51,8 @@ import scipy.linalg
 
 from bifidelity.bound import (EPS_CHUNK_BYTES, GramianPair, _lifting_error,
                              _numerical_rank, epsilon_estimated, minimize_bound)
-from bifidelity.errors import (DimensionMismatch, KOutOfRange, NegativeTau,
-                              NoConvergence, NonFiniteInput,
+from bifidelity.errors import (DimensionMismatch, NoConvergence,
+                              NonFiniteInput, OutOfBounds,
                               ToleranceUnreachable)
 from bifidelity.interp import InterpDecomposition, _assemble, build_id
 from bifidelity.linalg import DEFAULT_CUTOFF, pivoted_qr, singular_values
@@ -226,10 +226,10 @@ def rho(k, tau, eps, sigma, cl_norm, id_residual):
     """
     t = float(tau)
     if not (math.isfinite(t) and t >= 0.0):
-        raise NegativeTau(f"tau must be finite and >= 0, got {t}")
+        raise OutOfBounds(f"tau must be finite and >= 0, got {t}")
     rank = _numerical_rank(sigma)
     if not 1 <= k <= rank:
-        raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
+        raise DimensionMismatch(f"k must lie in [1, rank(L)={rank}], got {k}")
     sk = float(sigma[k - 1])
     skp1 = float(sigma[k]) if k < rank else 0.0
     rad1 = t * (skp1 * skp1) + float(eps)
@@ -395,7 +395,7 @@ def lifting_oracle_T(high, low, k):
     _, s, vh = np.linalg.svd(low.data, full_matrices=False)
     rank = _numerical_rank(s)
     if not 1 <= k <= rank:
-        raise KOutOfRange(f"k must lie in [1, rank(L)={rank}], got {k}")
+        raise DimensionMismatch(f"k must lie in [1, rank(L)={rank}], got {k}")
     vk = vh[:k].T
     t = high.data @ (vk @ vk.T) @ np.linalg.pinv(low.data, DEFAULT_CUTOFF)
     e = high.data - t @ low.data

@@ -1,20 +1,24 @@
-"""The public surface: its settable values, counted, the size of the
-package source, counted, and the README's library quick start, run.
+"""The public surface: its settable values, counted, its exception classes,
+listed, the size of the package source, counted, and the README's library
+quick start, run.
 
 Every parameter of a public callable is a value a caller can set, and each
 one must be tested and documented. The count below makes a new keyword, a
 new dataclass field or a new public method's parameter a deliberate edit of
-this file; removing one lowers the expected total. The code-line count does
-the same for growing the source.
+this file; removing one lowers the expected total. The class list and the
+code-line count do the same for new exception classes and for growing the
+source.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import io
 import tokenize
 from pathlib import Path
 
+from bifidelity import errors
 from bifidelity.models import DiffusionConfig, diffusion_pair, draw_diffusion_samples
 
 MODULES = ["bifidelity", "bifidelity.bound", "bifidelity.linalg", "bifidelity.snapio",
@@ -24,9 +28,23 @@ MODULES = ["bifidelity", "bifidelity.bound", "bifidelity.linalg", "bifidelity.sn
 PUBLIC_PARAMETERS = 84
 
 #: Code lines of ``src/bifidelity/*.py``, counted by :func:`code_lines`.
-SRC_CODE_LINES = 1383
+SRC_CODE_LINES = 1351
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bifidelity"
+
+#: Each class of ``bifidelity.errors`` and its bases: the two branches the
+#: CLI maps to exit 2 and 3, and the classes the README names.
+ERROR_CLASSES = {
+    "DataError": ("ValueError",),
+    "NumericalError": ("ArithmeticError",),
+    "NonFiniteInput": ("DataError",),
+    "DimensionMismatch": ("DataError",),
+    "OutOfBounds": ("DataError",),
+    "NoConvergence": ("NumericalError",),
+    "ToleranceUnreachable": ("NumericalError",),
+    "AllCombinationsInvalid": ("NumericalError",),
+    "DegenerateError": ("NumericalError",),
+}
 
 
 def _parameter_names(name, obj):
@@ -61,6 +79,35 @@ def test_public_parameter_count_is_pinned():
     params = public_parameters()
     assert len(params) == len(set(params))
     assert len(params) == PUBLIC_PARAMETERS, params
+
+
+def test_exception_classes_are_pinned():
+    defined = {name: tuple(base.__name__ for base in cls.__bases__)
+               for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    assert defined == ERROR_CLASSES
+
+
+def _raised_names():
+    """The name of the class each ``raise`` in the package source raises
+    (a bare ``raise`` re-raises and names none)."""
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.append(exc.id if isinstance(exc, ast.Name) else ast.unparse(exc))
+    return names
+
+
+def test_every_raise_names_a_package_or_builtin_exception():
+    raised = _raised_names()
+    for name in raised:
+        assert name in ERROR_CLASSES or (
+            isinstance(getattr(builtins, name, None), type)
+            and issubclass(getattr(builtins, name), BaseException)), name
+    # a class nothing raises is one no caller can act on
+    assert set(ERROR_CLASSES) - {"DataError", "NumericalError"} <= set(raised)
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

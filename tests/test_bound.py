@@ -27,12 +27,9 @@ from bifidelity.errors import (
     AllCombinationsInvalid,
     DegenerateError,
     DimensionMismatch,
-    EmptyGrid,
-    KOutOfRange,
-    NegativeTau,
     NoConvergence,
     NonFiniteInput,
-    SampleMismatch,
+    OutOfBounds,
 )
 from bifidelity.interp import build_id
 from bifidelity.linalg import singular_values, spectral_norm
@@ -101,7 +98,7 @@ def test_tau_grid_builders():
     assert g.size == 7 and g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e3)
     lin = tau_grid(0.0, 1.0, 5, "linear")
     assert np.allclose(lin, [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(DimensionMismatch, match="^grid count must be >= 1, got 0$"):
         tau_grid(1.0, 2.0, 0, "log")
 
 
@@ -170,9 +167,10 @@ def test_epsilon_exact_vs_monte_carlo_oracle(seed):
 def test_epsilon_exact_rejects_misaligned_and_negative_tau():
     high, low = wide_pair(3)
     shuffled = SnapshotMatrix(low.data, tuple(reversed(low.sample_ids)))
-    with pytest.raises(SampleMismatch):
+    with pytest.raises(DimensionMismatch,
+                       match="^sample ids are not aligned between ensembles$"):
         epsilon_exact(high, shuffled, 1.0)
-    with pytest.raises(NegativeTau):
+    with pytest.raises(OutOfBounds, match="^tau must be finite and >= 0, got -0.5$"):
         epsilon_exact(high, low, -0.5)
 
 
@@ -306,9 +304,9 @@ def test_overflowing_tau_raises_nonfinite(regime):
         epsilon_estimated(pair, 1e308)
     with pytest.raises(NonFiniteInput, match=message):
         epsilon_estimated(pair, np.array([0.0, 1e308, 1.0]))
-    with pytest.raises(NegativeTau):
+    with pytest.raises(OutOfBounds, match="^tau must be finite and >= 0, got -1.0$"):
         epsilon_estimated(pair, np.array([0.0, -1.0]))
-    with pytest.raises(NegativeTau):
+    with pytest.raises(OutOfBounds, match="^tau must be finite and >= 0, got nan$"):
         epsilon_estimated(pair, np.array([0.0, np.nan]))
 
 
@@ -356,9 +354,11 @@ def test_rho_invalid_on_negative_radicand():
 
 def test_rho_k_out_of_range():
     sigma = np.array([3.0, 1.0])
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^k must lie in \[1, rank\(L\)=2\], got 0$"):
         rho(0, 1.0, 0.0, sigma, 1.0, 1.0)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^k must lie in \[1, rank\(L\)=2\], got 3$"):
         rho(3, 1.0, 0.0, sigma, 1.0, 1.0)
 
 
@@ -1032,10 +1032,12 @@ def test_lifting_oracle_inequalities():
 
 def test_lifting_oracle_k_out_of_range():
     high, low = wide_pair(18)
-    with pytest.raises(KOutOfRange):
+    message = r"^k must lie in \[1, rank\(L\)=\d+\], got {}$"
+    with pytest.raises(DimensionMismatch, match=message.format(0)):
         lifting_oracle_T(high, low, 0)
-    with pytest.raises(KOutOfRange):
-        lifting_oracle_T(high, low, min(low.data.shape) + 1)
+    k = min(low.data.shape) + 1
+    with pytest.raises(DimensionMismatch, match=message.format(k)):
+        lifting_oracle_T(high, low, k)
 
 
 # --------------------------------------------------------------------------
@@ -1076,15 +1078,15 @@ def test_rho_and_eps_reject_a_bad_tau_with_one_message(tau, shown):
     pair = GramianPair.full(from_array(np.eye(2)),
                             from_array(np.eye(2)))
     message = f"tau must be finite and >= 0, got {shown}"
-    with pytest.raises(NegativeTau) as info:
+    with pytest.raises(OutOfBounds) as info:
         rho(1, tau, 0.0, sigma, 1.0, 0.0)
     assert str(info.value) == message
-    with pytest.raises(NegativeTau) as info:
+    with pytest.raises(OutOfBounds) as info:
         epsilon_estimated(pair, np.array([0.0, tau]))
     assert str(info.value) == message
-    with pytest.raises(NegativeTau) as info:
+    with pytest.raises(OutOfBounds) as info:
         minimize_bound(pair, sigma, 1.0, 0.0, np.array([0.0, tau]))
     assert str(info.value) == message
-    with pytest.raises(NegativeTau) as info:
+    with pytest.raises(OutOfBounds) as info:
         tau_grid(tau_max=tau)
     assert str(info.value) == message

@@ -688,10 +688,19 @@ def test_help_and_version_exit_zero():
     assert cli_main(["--version"]) == 0
 
 
+def _child_env():
+    """This process's environment with the imported package's source
+    directory first on PYTHONPATH: pytest's ``pythonpath`` setting reaches
+    this process only, so a child needs it to run an uninstalled checkout."""
+    src = str(Path(bifidelity.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bifidelity.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
 
@@ -704,7 +713,8 @@ def _run_on_a_pipe(argv, lines_read):
     """Run the CLI with stdout on a pipe whose reader takes ``lines_read``
     lines and closes it; returns (exit code, lines read, stderr bytes)."""
     proc = subprocess.Popen([sys.executable, "-m", "bifidelity.cli", *map(str, argv)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
     got = [proc.stdout.readline() for _ in range(lines_read)]
     proc.stdout.close()
     err = proc.stderr.read()
@@ -758,7 +768,8 @@ def test_bound_into_a_closed_pipe_writes_its_report(diffusion_files, tmp_path, c
 def test_a_stdout_that_cannot_be_written_exits_two(id_file):
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "bifidelity.cli", "samples",
-                               "--id", str(id_file)], stdout=full, stderr=subprocess.PIPE)
+                               "--id", str(id_file)], stdout=full, stderr=subprocess.PIPE,
+                              env=_child_env())
     assert proc.returncode == 2
     assert proc.stderr.decode().splitlines() == [
         "data error: [Errno 28] No space left on device"]
@@ -820,9 +831,8 @@ def test_pipeline_commands_never_load_scipy(diffusion_files, tmp_path):
             "--n", "10", "--trials", "2")
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    src = str(Path(bifidelity.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
+                          text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 

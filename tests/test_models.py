@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifidelity.errors import DimensionMismatch, OutOfBounds, SolverFailure
+from bifidelity.errors import DimensionMismatch, NumericalError, OutOfBounds
 from bifidelity.interp import build_id
 from bifidelity.models import (
     SOLVE_BLOCK,
@@ -247,7 +247,7 @@ def test_diffusion_nan_input_is_a_solver_failure():
     nan = np.full((1, cfg.d_params), np.nan)
     with pytest.raises(OutOfBounds, match="mu1=nan outside"):
         diffusion_pair(nan, cfg)
-    with pytest.raises(SolverFailure, match="matrix holds infs or NaNs"):
+    with pytest.raises(NumericalError, match="matrix holds infs or NaNs"):
         _mesh_flux(AMPS[:cfg.d_params] * nan, cfg.mesh_high)
 
 
@@ -257,13 +257,13 @@ AMPS5 = AMPS[:5]
 
 
 def test_diffusion_overflowing_coefficient_is_a_solver_failure():
-    with np.errstate(over="ignore"), pytest.raises(SolverFailure,
+    with np.errstate(over="ignore"), pytest.raises(NumericalError,
                                                    match="matrix holds infs or NaNs"):
         _mesh_flux(800.0 * AMPS5[None, :], 256)
 
 
 def test_diffusion_underflowing_coefficient_is_a_solver_failure():
-    with pytest.raises(SolverFailure, match="diffusion coefficient must be positive"):
+    with pytest.raises(NumericalError, match="diffusion coefficient must be positive"):
         _mesh_flux(-800.0 * AMPS5[None, :], 256)
 
 
@@ -272,7 +272,7 @@ def test_diffusion_pivot_lost_to_rounding_is_a_solver_failure():
     coarse-mesh row at zero; that is a failure, not a NaN flux."""
     samples = draw_diffusion_samples(40, seed=2, cfg=DiffusionConfig())
     weights = 80.0 * AMPS5 * samples
-    with pytest.raises(SolverFailure, match="pivot is not positive"):
+    with pytest.raises(NumericalError, match="pivot is not positive"):
         for n_nodes in (8, 4):
             _mesh_flux(weights, n_nodes)
 
